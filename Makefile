@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test test-short race lint-metrics bench bench-baseline bench-check bench-baseline-store bench-check-store bench-baseline-refit bench-check-refit tables figures examples clean
+.PHONY: all build vet test test-short race lint-metrics bench bench-baseline bench-check tables figures examples clean
 
 all: build vet lint-metrics test
 
@@ -34,52 +34,37 @@ race:
 bench:
 	$(GO) test -bench=. -benchmem ./...
 
-# The fit hot-path benchmarks gated by the committed BENCH_PR5.json
-# baseline (see cmd/benchcheck): bench-baseline rewrites it, bench-check
-# compares and fails on large regressions (allocs/op strict, ns/op loose).
-BENCH_GATE = ^(BenchmarkFitARIMA|BenchmarkFitSARIMAX|BenchmarkEngineRun)$$
+# Every benchmark gate runs against the one committed baseline,
+# BENCH.json (see cmd/benchcheck): bench-baseline re-measures and
+# rewrites it, bench-check compares and fails on large regressions
+# (allocs/op strict, ns/op loose). Each group keeps its own run length:
+#   - the fit hot path;
+#   - sharded-store scaling: concurrent PutBatch+Series throughput at
+#     1/4/16 shards (shards-1 is the old single-lock store, kept in the
+#     baseline as the reference point);
+#   - incremental-refit tiers: cold grid search vs warm-started shrunken
+#     grid vs O(1) state advance, same series and candidate pool.
+# The -ratio assertions pin the refit speedups — warm <= 0.2x cold,
+# advance <= 0.01x cold — and hold on any machine because both sides of
+# each ratio come from the same run.
+FIT_BENCH_GATE = ^(BenchmarkFitARIMA|BenchmarkFitSARIMAX|BenchmarkEngineRun)$$
+STORE_BENCH_GATE = ^BenchmarkStoreParallel$$
+REFIT_BENCH_GATE = ^BenchmarkRefit(Cold|Warm|Advance)$$
+BENCH_RATIOS = -ratio 'BenchmarkRefitWarm/BenchmarkRefitCold<=0.2' \
+	-ratio 'BenchmarkRefitAdvance/BenchmarkRefitCold<=0.01'
+BENCH_RUN = $(GO) test -run '^$$' -benchmem
 
 bench-baseline:
-	$(GO) test -run '^$$' -bench '$(BENCH_GATE)' -benchmem -benchtime 5x -count 3 . > bench_output.txt
-	$(GO) run ./cmd/benchcheck -update -baseline BENCH_PR5.json bench_output.txt
+	$(BENCH_RUN) -bench '$(FIT_BENCH_GATE)' -benchtime 5x -count 3 . > bench_output.txt
+	$(BENCH_RUN) -bench '$(STORE_BENCH_GATE)' -benchtime 300x -count 3 ./internal/metricstore/ >> bench_output.txt
+	$(BENCH_RUN) -bench '$(REFIT_BENCH_GATE)' -benchtime 3x -count 3 . >> bench_output.txt
+	$(GO) run ./cmd/benchcheck -update $(BENCH_RATIOS) bench_output.txt
 
 bench-check:
-	$(GO) test -run '^$$' -bench '$(BENCH_GATE)' -benchmem -benchtime 1x -count 1 . > bench_output.txt
-	$(GO) run ./cmd/benchcheck -baseline BENCH_PR5.json bench_output.txt
-
-# Sharded-store scaling gated by BENCH_PR8.json: concurrent
-# PutBatch+Series throughput at 1/4/16 shards (shards-1 is the old
-# single-lock store, kept in the baseline as the reference point).
-STORE_BENCH_GATE = ^BenchmarkStoreParallel$$
-
-bench-baseline-store:
-	$(GO) test -run '^$$' -bench '$(STORE_BENCH_GATE)' -benchmem -benchtime 300x -count 3 ./internal/metricstore/ > bench_store_output.txt
-	$(GO) run ./cmd/benchcheck -update -baseline BENCH_PR8.json \
-		-note "sharded-store parallel baseline; regenerate with \`make bench-baseline-store\`, compare with \`make bench-check-store\`" \
-		bench_store_output.txt
-
-bench-check-store:
-	$(GO) test -run '^$$' -bench '$(STORE_BENCH_GATE)' -benchmem -benchtime 100x -count 1 ./internal/metricstore/ > bench_store_output.txt
-	$(GO) run ./cmd/benchcheck -baseline BENCH_PR8.json bench_store_output.txt
-
-# Incremental-refit tiers gated by BENCH_PR10.json: cold grid search vs
-# warm-started shrunken grid vs O(1) state advance, same series and
-# candidate pool. The -ratio assertions pin the tentpole's speedups —
-# warm <= 0.2x cold, advance <= 0.01x cold — and hold on any machine
-# because both sides of each ratio come from the same run.
-REFIT_BENCH_GATE = ^BenchmarkRefit(Cold|Warm|Advance)$$
-REFIT_RATIOS = -ratio 'BenchmarkRefitWarm/BenchmarkRefitCold<=0.2' \
-	-ratio 'BenchmarkRefitAdvance/BenchmarkRefitCold<=0.01'
-
-bench-baseline-refit:
-	$(GO) test -run '^$$' -bench '$(REFIT_BENCH_GATE)' -benchmem -benchtime 3x -count 3 . > bench_refit_output.txt
-	$(GO) run ./cmd/benchcheck -update -baseline BENCH_PR10.json \
-		-note "incremental-refit tier baseline; regenerate with \`make bench-baseline-refit\`, compare with \`make bench-check-refit\`" \
-		$(REFIT_RATIOS) bench_refit_output.txt
-
-bench-check-refit:
-	$(GO) test -run '^$$' -bench '$(REFIT_BENCH_GATE)' -benchmem -benchtime 1x -count 1 . > bench_refit_output.txt
-	$(GO) run ./cmd/benchcheck -baseline BENCH_PR10.json $(REFIT_RATIOS) bench_refit_output.txt
+	$(BENCH_RUN) -bench '$(FIT_BENCH_GATE)' -benchtime 1x -count 1 . > bench_output.txt
+	$(BENCH_RUN) -bench '$(STORE_BENCH_GATE)' -benchtime 100x -count 1 ./internal/metricstore/ >> bench_output.txt
+	$(BENCH_RUN) -bench '$(REFIT_BENCH_GATE)' -benchtime 1x -count 1 . >> bench_output.txt
+	$(GO) run ./cmd/benchcheck $(BENCH_RATIOS) bench_output.txt
 
 # Full-size reproduction of the evaluation tables (42 days, Table 1 splits).
 tables:
@@ -104,4 +89,4 @@ examples:
 
 clean:
 	$(GO) clean ./...
-	rm -f test_output.txt bench_output.txt bench_store_output.txt bench_refit_output.txt
+	rm -f test_output.txt bench_output.txt

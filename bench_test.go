@@ -341,7 +341,7 @@ func BenchmarkAblationHESFit(b *testing.B) {
 // BenchmarkFitARIMA measures one steady-state non-seasonal CSS fit the
 // way the engine runs it: a reused workspace and a shared prediffed
 // series, so allocations reflect the pooled hot path rather than
-// first-fit warm-up. Gated against BENCH_PR5.json by `make bench-check`.
+// first-fit warm-up. Gated against BENCH.json by `make bench-check`.
 func BenchmarkFitARIMA(b *testing.B) {
 	b.ReportAllocs()
 	s := benchSeries()

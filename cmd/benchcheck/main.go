@@ -1,5 +1,5 @@
-// Command benchcheck maintains the committed performance baseline for the
-// fit hot path and gates changes against it, in the spirit of benchstat
+// Command benchcheck maintains the committed performance baseline,
+// BENCH.json, and gates changes against it, in the spirit of benchstat
 // but dependency-free. It parses standard `go test -bench -benchmem`
 // output from stdin (or a file argument):
 //
@@ -7,10 +7,10 @@
 //
 // Two modes:
 //
-//	go test -bench ... | benchcheck -update -baseline BENCH_PR5.json
+//	go test -bench ... | benchcheck -update
 //	    rewrite the baseline from the measured numbers.
 //
-//	go test -bench ... | benchcheck -baseline BENCH_PR5.json
+//	go test -bench ... | benchcheck
 //	    compare against the baseline and exit non-zero on a large
 //	    regression. allocs/op is machine-independent, so its gate is
 //	    strict (default 1.25x + 16 absolute slack); bytes/op gets 1.5x;
@@ -115,12 +115,11 @@ func checkRatios(measured map[string]Entry, ratios ratioFlags) int {
 }
 
 func main() {
-	baselinePath := flag.String("baseline", "BENCH_PR5.json", "baseline JSON path")
+	baselinePath := flag.String("baseline", "BENCH.json", "baseline JSON path")
 	update := flag.Bool("update", false, "rewrite the baseline from the measured numbers")
 	allocsFactor := flag.Float64("max-allocs-factor", 1.25, "fail when allocs/op exceeds baseline by this factor")
 	bytesFactor := flag.Float64("max-bytes-factor", 1.5, "fail when bytes/op exceeds baseline by this factor")
 	nsFactor := flag.Float64("max-ns-factor", 8, "fail when ns/op exceeds baseline by this factor")
-	note := flag.String("note", "fit hot-path baseline; regenerate with `make bench-baseline`, compare with `make bench-check`", "note written into the baseline with -update")
 	var ratios ratioFlags
 	flag.Var(&ratios, "ratio", "assert measured ns/op ratio 'NameA/NameB<=X' (repeatable; enforced in compare and update modes)")
 	flag.Parse()
@@ -148,7 +147,7 @@ func main() {
 			os.Exit(1)
 		}
 		doc := Baseline{
-			Note:       *note,
+			Note:       "benchmark gate baseline; regenerate with `make bench-baseline`, compare with `make bench-check`",
 			Benchmarks: measured,
 		}
 		buf, err := json.MarshalIndent(doc, "", "  ")

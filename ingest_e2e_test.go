@@ -183,6 +183,14 @@ func TestIngestSurvivesCollectorOutage(t *testing.T) {
 		t.Fatal(err)
 	}
 	put(40, total)
+	// Stay down until a send has failed: rebinding first would let the
+	// whole backlog through without exercising a single retry.
+	for shipper.Stats().Retries == 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("no send attempted during the outage")
+		}
+		time.Sleep(time.Millisecond)
+	}
 
 	// Recovery on the same address; retries from here on must succeed.
 	var ln2 net.Listener

@@ -8,6 +8,7 @@ import (
 	"math"
 	"os"
 	"os/signal"
+	"slices"
 	"sort"
 	"strings"
 	"sync/atomic"
@@ -139,12 +140,17 @@ func CapplanServe(ctx context.Context, args []string, stdout io.Writer) error {
 	defer cancel()
 
 	// The store's clock follows simulated time, so the paper's one-week
-	// age policy works at replay speed. simClock is atomic because HTTP
-	// handlers read it concurrently with the replay loop.
-	var simClock atomic.Int64
-	store := core.NewModelStore(core.StalePolicy{MaxAge: *maxAge, DegradeFactor: *degrade})
-	store.SetObserver(o)
-	store.SetClock(func() time.Time { return time.Unix(simClock.Load(), 0).UTC() })
+	// age policy works at replay speed.
+	p := &pipeline{
+		out:       stdout,
+		obs:       o,
+		store:     core.NewModelStore(core.StalePolicy{MaxAge: *maxAge, DegradeFactor: *degrade}),
+		engine:    core.Options{Technique: tech, Horizon: *horizon, MaxCandidates: *maxCand, FitTimeout: *fitTimeout, Obs: o},
+		window:    time.Duration(*days) * 24 * time.Hour,
+		selfTrain: *selfTrain,
+	}
+	p.store.SetObserver(o)
+	p.store.SetClock(p.now)
 
 	var rules []monitor.Rule
 	for _, r := range []monitor.Rule{
@@ -156,117 +162,20 @@ func CapplanServe(ctx context.Context, args []string, stdout io.Writer) error {
 			rules = append(rules, r)
 		}
 	}
-
-	var repo *metricstore.Store
-	var startAt time.Time
-	// repoPtr mirrors repo for HTTP handlers: the targets endpoint reads
-	// the inventory concurrently with the goroutine that assigns repo.
-	var repoPtr atomic.Pointer[metricstore.Store]
-	trainWindow := time.Duration(*days) * 24 * time.Hour
-	// refit re-learns a champion from the freshest repository window; the
-	// replay loop calls it synchronously via the monitor. A warm request
-	// seeds the engine with the stored champion's parameters and prior
-	// candidate scores; with nothing stored the run simply goes cold.
-	refit := func(rctx context.Context, key string, warm bool) (*core.Result, error) {
-		i := strings.LastIndexByte(key, '/')
-		if i < 0 {
-			return nil, fmt.Errorf("serve: malformed key %q", key)
-		}
-		k := metricstore.Key{Target: key[:i], Metric: key[i+1:]}
-		to := time.Unix(simClock.Load(), 0).UTC()
-		from := to.Add(-trainWindow)
-		if from.Before(startAt) {
-			from = startAt
-		}
-		// A series that began mid-serve (the self targets do) is clamped
-		// to its own first sample, or the window would open with a NaN
-		// prefix no model can fit.
-		if f, _, ok := repo.TimeRange(k); ok && from.Before(f) {
-			from = f
-		}
-		ser, err := repo.Series(k, timeseries.Hourly, from, to)
-		if err != nil {
-			return nil, err
-		}
-		engOpts := core.Options{
-			Technique: tech, Horizon: *horizon, MaxCandidates: *maxCand,
-			FitTimeout: *fitTimeout, Obs: o,
-		}
-		if warm {
-			if sm, _ := store.Peek(key); sm != nil && sm.Result != nil {
-				engOpts.Warm = core.WarmFromResult(sm.Result)
-			}
-		}
-		eng, err := core.NewEngine(engOpts)
-		if err != nil {
-			return nil, err
-		}
-		res, err := eng.Run(rctx, ser)
-		if err == nil {
-			snapshotForecast(repo, k, res, to)
-		}
-		return res, err
-	}
-	// advance rolls a horizon-exhausted champion forward instead of
-	// refitting: the hours since the forecast origin fold into the live
-	// model's state and the forecast regenerates from the new origin. Any
-	// gap (missing samples, no live model) returns an error and the
-	// monitor falls back to a real refit.
-	advance := func(actx context.Context, key string, at time.Time) (*core.Result, error) {
-		_ = actx
-		sm, _ := store.Peek(key)
-		if sm == nil || sm.Result == nil {
-			return nil, fmt.Errorf("serve: no stored model for %q", key)
-		}
-		if sm.Result.Live == nil || sm.Result.Forecast == nil {
-			return nil, fmt.Errorf("serve: stored model for %q has no live state", key)
-		}
-		i := strings.LastIndexByte(key, '/')
-		if i < 0 {
-			return nil, fmt.Errorf("serve: malformed key %q", key)
-		}
-		k := metricstore.Key{Target: key[:i], Metric: key[i+1:]}
-		fc := sm.Result.Forecast
-		step := fc.Freq.Step()
-		// The observations to fold in: every completed bucket from the
-		// forecast origin through the hour that just exhausted it.
-		ser, err := repo.Series(k, fc.Freq, fc.Start, at.Add(step))
-		if err != nil {
-			return nil, err
-		}
-		if ser.Len() == 0 {
-			return nil, fmt.Errorf("serve: no observations to advance %q over", key)
-		}
-		for _, v := range ser.Values {
-			if math.IsNaN(v) {
-				return nil, fmt.Errorf("serve: gap in %q since forecast origin", key)
-			}
-		}
-		res, err := sm.Result.Advanced(ser.Values)
-		if err != nil {
-			return nil, err
-		}
-		if !store.ReplaceResult(key, res) {
-			return nil, fmt.Errorf("serve: stored model for %q vanished mid-advance", key)
-		}
-		snapshotForecast(repo, k, res, time.Unix(simClock.Load(), 0).UTC())
-		return res, nil
-	}
-
-	mon, err := monitor.New(monitor.Config{
-		Store:          store,
+	p.mon, err = monitor.New(monitor.Config{
+		Store:          p.store,
 		Window:         *window,
 		Rules:          rules,
 		PendingTicks:   *pendingTicks,
 		ResolveTicks:   *resolveTicks,
 		Calibration:    monitor.CalibrationConfig{Window: *calWindow},
 		Drift:          monitor.DriftConfig{Disabled: !*driftOn, Delta: *phDelta, Lambda: *phLambda},
-		Refit:          refit,
-		Advance:        advance,
+		Refit:          p.refit,
+		Advance:        p.advance,
 		ColdRefitEvery: *coldEvery,
 		Inventory: func() []string {
 			var keys []string
-			if r := repoPtr.Load(); r != nil {
+			if r := p.repo.Load(); r != nil {
 				for _, k := range r.Keys() {
 					keys = append(keys, k.String())
 				}
@@ -275,7 +184,7 @@ func CapplanServe(ctx context.Context, args []string, stdout io.Writer) error {
 				// Listed explicitly so the self targets show as warming on
 				// /api/v1/targets before their first scrape lands.
 				for _, sk := range monitor.SelfKeys("") {
-					if !containsKey(keys, sk) {
+					if !slices.Contains(keys, sk) {
 						keys = append(keys, sk)
 					}
 				}
@@ -289,13 +198,9 @@ func CapplanServe(ctx context.Context, args []string, stdout io.Writer) error {
 	}
 
 	// The planner closes the loop over the same champions the monitor
-	// scores: each hour it folds their horizon forecasts into a cluster
-	// demand curve, sizes the fleet under the headroom policy, and exposes
-	// the resulting recommendation on /api/v1/plan and through the alerter
-	// (an ignored recommendation escalates pending → firing).
-	var plan *planner.Planner
+	// scores (see pipeline.plan).
 	if *planOn {
-		plan, err = planner.New(planner.Policy{
+		p.planner, err = planner.New(planner.Policy{
 			Metric: "cpu", Headroom: *headroom,
 			HorizonHours: *planHorizon, MaxInstances: *planMax,
 		}, o)
@@ -303,103 +208,46 @@ func CapplanServe(ctx context.Context, args []string, stdout io.Writer) error {
 			return err
 		}
 	}
-	var planBackups []planner.BackupInfo
-	planStep := func(now time.Time) {
-		if plan == nil {
-			return
-		}
-		pol := plan.Policy()
-		suffix := "/" + pol.Metric
-		var fcs []planner.Forecast
-		var names []string
-		for _, key := range store.Keys() {
-			// The self-scrape pseudo-target is pipeline telemetry, not
-			// database capacity; it must not inflate the fleet size.
-			if strings.HasPrefix(key, monitor.DefaultSelfTarget+"/") || !strings.HasSuffix(key, suffix) {
-				continue
-			}
-			sm, _ := store.Peek(key)
-			if sm == nil || sm.Result == nil || sm.Result.Forecast == nil {
-				continue
-			}
-			fc := sm.Result.Forecast
-			fcs = append(fcs, planner.Forecast{
-				Key: key, Start: fc.Start, Step: fc.Freq.Step(),
-				Mean: fc.Mean, Upper: fc.Upper,
-			})
-			names = append(names, strings.TrimSuffix(key, suffix))
-		}
-		if len(fcs) == 0 {
-			return
-		}
-		sort.Strings(names)
-		// The last completed hour's actual per instance feeds rebalance
-		// detection; a missing observation disables it for the cycle.
-		var loads []float64
-		if r := repoPtr.Load(); r != nil {
-			for _, t := range names {
-				ser, serr := r.Series(metricstore.Key{Target: t, Metric: pol.Metric}, timeseries.Hourly, now.Add(-time.Hour), now)
-				if serr != nil || ser.Len() == 0 || math.IsNaN(ser.Values[0]) {
-					loads = nil
-					break
-				}
-				loads = append(loads, ser.Values[0])
-			}
-		}
-		st := planner.ClusterState{
-			Target: "cluster", Instances: len(names),
-			NodeLoad: loads, Backups: planBackups,
-		}
-		plan.Plan(now, st, planner.AggregateDemand(now, pol.HorizonHours, 0, fcs))
-		if rec, ok := plan.Recommendation(); ok {
-			mon.ObserveCondition(st.Target, planner.GrowCondition, now,
-				rec.Recommended > rec.Instances, float64(rec.Recommended), rec.PeakAt)
-			mon.ObserveCondition(st.Target, planner.ShrinkCondition, now,
-				rec.Recommended < rec.Instances, float64(rec.Recommended), rec.PeakAt)
-		}
-	}
 
 	// The endpoint goes up before training so /healthz answers from the
 	// first second; /readyz flips once the champions are in the store.
 	// In ingest mode it also carries the remote-write collector, so
 	// agents can ship from the first second too.
-	var ready atomic.Bool
-	extra := mon.Handlers()
-	if plan != nil {
-		extra[planner.PlanPath] = planner.Handler(plan)
+	extra := p.mon.Handlers()
+	if p.planner != nil {
+		extra[planner.PlanPath] = planner.Handler(p.planner)
 	}
 	if *ingestOn {
-		var rerr error
-		repo, rerr = metricstore.Open(metricstore.Options{
+		repo, err := metricstore.Open(metricstore.Options{
 			Shards:    *storeShards,
 			Dir:       *storeDir,
 			Retention: *retention,
 			Sync:      syncPolicy,
 		})
-		if rerr != nil {
-			return rerr
+		if err != nil {
+			return err
 		}
 		defer repo.Close()
-		repoPtr.Store(repo)
+		p.useRepo(repo, *selfScrape)
 		repo.SetObserver(o)
 		if *storeDir != "" {
 			rec := repo.Recovered()
 			fmt.Fprintf(stdout, "durable store %s: %d shards, replayed %d samples and %d forecast snapshots from %d WAL segments (%d torn tails)\n",
 				*storeDir, repo.Shards(), rec.Samples, rec.Forecasts, rec.Segments, rec.Torn)
 		}
-		col, cerr := ingest.NewCollector(ingest.ServerConfig{
+		col, err := ingest.NewCollector(ingest.ServerConfig{
 			Store:       repo,
 			MaxBatch:    *ingestMaxBatch,
 			MaxInFlight: *ingestInflight,
 			Obs:         o,
 		})
-		if cerr != nil {
-			return cerr
+		if err != nil {
+			return err
 		}
 		extra[ingest.Path] = col
 	}
 	ln, err := of.serve(stdout, o, obs.MuxOptions{
-		Ready: ready.Load,
+		Ready: p.ready.Load,
 		Extra: extra,
 	})
 	if err != nil {
@@ -407,256 +255,403 @@ func CapplanServe(ctx context.Context, args []string, stdout io.Writer) error {
 	}
 	defer ln.Close()
 
-	// The self-scraper turns the planner's own pipeline metrics into
-	// forecast targets; trainSelf gives each self series its first
-	// champion once enough history has been scraped (after which the
-	// monitor refits them like any other target).
-	newScraper := func() *monitor.SelfScraper {
-		if !*selfScrape {
-			return nil
-		}
-		return monitor.NewSelfScraper(repo, o, "")
-	}
-	trainSelf := func(tctx context.Context) {
-		if !*selfScrape || *selfTrain <= 0 || tctx.Err() != nil {
-			return
-		}
-		for _, key := range monitor.SelfKeys("") {
-			if _, ok := store.Peek(key); ok {
-				continue
-			}
-			i := strings.LastIndexByte(key, '/')
-			k := metricstore.Key{Target: key[:i], Metric: key[i+1:]}
-			f, l, ok := repo.TimeRange(k)
-			if !ok || coveredHours(f, l) < *selfTrain {
-				continue
-			}
-			res, err := refit(tctx, key, false)
-			if err != nil {
-				// Early self series are often near-constant; keep scraping
-				// and try again next hour.
-				o.Debug("self target not yet trainable", "key", key, "err", err)
-				continue
-			}
-			store.Put(key, res)
-			o.Info("self target trained", "key", key, "champion", res.Champion.Label,
-				"hours", coveredHours(f, l))
-		}
-	}
-
+	// Both modes train on a full window and then run pipeline.step once
+	// per hour; they differ only in where the repository comes from and
+	// how the next hour becomes available.
+	var served string
 	if *ingestOn {
-		return serveIngested(ctx, stdout, o, repo, mon, &simClock, &ready, &startAt, ingestedOptions{
-			engine:    core.Options{Technique: tech, Horizon: *horizon, MaxCandidates: *maxCand, FitTimeout: *fitTimeout},
-			store:     store,
-			days:      *days,
-			hours:     *hours,
-			tick:      *tick,
-			scraper:   newScraper(),
-			trainSelf: trainSelf,
-			plan:      planStep,
-			dump:      func() { of.dumpMetrics(stdout, o) },
-		})
-	}
-
-	fmt.Fprintf(stdout, "collecting %d days of %s history (seed %d)...\n", *days, *exp, *seed)
-	ds, err := experiments.Build(experiments.Kind(strings.ToLower(*exp)), experiments.Options{
-		Days: *days, Seed: *seed, AgentFailureRate: *failRate,
-		MaxCandidates: *maxCand, Obs: o,
-	})
-	if err != nil {
-		return err
-	}
-	repo = ds.Store
-	repoPtr.Store(repo)
-	startAt = ds.Start
-	simClock.Store(ds.End.Unix())
-	if plan != nil {
-		// The simulated cluster's backup schedule is a shock the planner
-		// understands: it sizes backup hours around it and may move jobs
-		// into forecast valleys.
-		planBackups = planner.BackupInfos(ds.Cluster, dbsim.CPU)
-	}
-
-	res, err := core.RunFleet(ctx, repo, ds.Start, ds.End, core.FleetOptions{
-		Engine: core.Options{Technique: tech, Horizon: *horizon, MaxCandidates: *maxCand, FitTimeout: *fitTimeout},
-		Freq:   timeseries.Hourly,
-		Store:  store,
-		Obs:    o,
-	})
-	if err != nil {
-		return err
-	}
-	if res.Canceled {
-		fmt.Fprintf(stdout, "initial training canceled: %d trained, %d unprocessed — shutting down\n",
-			res.Trained, res.Unprocessed)
-		return nil
-	}
-	fmt.Fprintf(stdout, "initial training: %d trained, %d failed in %v\n",
-		res.Trained, res.Failed, res.Elapsed.Round(time.Millisecond))
-	snapshotFleetForecasts(repo, store)
-	ready.Store(true)
-	fmt.Fprintf(stdout, "ready — replaying the agent feed (1 simulated hour per %v tick)\n", *tick)
-
-	// The replay agent continues the same deterministic feed the history
-	// was collected with.
-	ag, err := agent.New(agent.Config{
-		Interval:    15 * time.Minute,
-		FailureRate: *failRate,
-		Seed:        *seed + 1,
-		Obs:         o,
-	}, ds.Cluster, repo)
-	if err != nil {
-		return err
-	}
-
-	scraper := newScraper()
-	simNow := ds.End
-	hour := 0
-	for ctx.Err() == nil && (*hours == 0 || hour < *hours) {
-		next := simNow.Add(time.Hour)
-		if _, _, err := ag.CollectCtx(ctx, simNow, next); err != nil {
-			if ctx.Err() != nil {
+		// Remote agents ship into the collector: wait for a full training
+		// window, then consume every hour they have completed back to
+		// back, polling when none is ready.
+		repo := p.repo.Load()
+		poll := *tick
+		if poll <= 0 {
+			poll = 200 * time.Millisecond
+		}
+		trainHours := *days * 24
+		fmt.Fprintf(stdout, "ingest mode: waiting for %d hours of remote samples on POST %s\n",
+			trainHours, ingest.Path)
+		// The self target is excluded from window intersection: its last
+		// sample always trails the feed (it is written by this very loop),
+		// so including it would stall the hour-consumption logic.
+		exclude := ""
+		if p.scraper != nil {
+			exclude = p.scraper.Target()
+		}
+		var first time.Time
+		for {
+			f, l, ok := commonWindow(repo, exclude)
+			if ok && coveredHours(f, l) >= trainHours {
+				first = f
 				break
 			}
-			return err
-		}
-		if *shiftAfter > 0 && *shiftFactor != 1 && hour >= *shiftAfter && hour < *shiftAfter+*shiftHours {
-			scaleSamples(repo, simNow, next, *shiftFactor)
-		}
-		if scraper != nil {
-			// Stamped at the completed hour's start so the sample lands in
-			// the bucket observeHour is about to score.
-			scraper.Sample(simNow)
-		}
-		simClock.Store(next.Unix())
-		observeHour(ctx, repo, mon, simNow, next)
-		trainSelf(ctx)
-		mon.EvaluateAlerts(next)
-		planStep(next)
-		simNow = next
-		hour++
-		if *tick > 0 {
-			select {
-			case <-ctx.Done():
-			case <-time.After(*tick):
+			if !pause(ctx, poll) {
+				fmt.Fprintln(stdout, "interrupted before a full training window was ingested")
+				return nil
 			}
 		}
+		trainTo := first.Add(time.Duration(trainHours) * time.Hour)
+		fmt.Fprintf(stdout, "training on ingested window %s → %s (%d series)\n",
+			first.Format("2006-01-02 15:04"), trainTo.Format("2006-01-02 15:04"), len(repo.Keys()))
+		if ready, err := p.train(ctx, first, trainTo); !ready {
+			return err
+		}
+		fmt.Fprintln(stdout, "ready — following the ingested feed")
+
+		simNow, hour := trainTo, 0
+		more := func() bool { return ctx.Err() == nil && (*hours == 0 || hour < *hours) }
+		for more() {
+			// A bucket [simNow, simNow+1h) is complete once a sample at
+			// or past its end has arrived on every series.
+			if _, l, ok := commonWindow(repo, exclude); ok {
+				for next := simNow.Add(time.Hour); more() && !l.Before(next); next = simNow.Add(time.Hour) {
+					p.step(ctx, simNow, next)
+					simNow = next
+					hour++
+				}
+			}
+			pause(ctx, poll)
+		}
+		served = fmt.Sprintf("followed %d ingested hours (%s → %s)",
+			hour, trainTo.Format("2006-01-02 15:04"), simNow.Format("2006-01-02 15:04"))
+	} else {
+		// The simulator builds the history, then an agent continues the
+		// same deterministic feed one hour per -tick.
+		fmt.Fprintf(stdout, "collecting %d days of %s history (seed %d)...\n", *days, *exp, *seed)
+		ds, err := experiments.Build(experiments.Kind(strings.ToLower(*exp)), experiments.Options{
+			Days: *days, Seed: *seed, AgentFailureRate: *failRate,
+			MaxCandidates: *maxCand, Obs: o,
+		})
+		if err != nil {
+			return err
+		}
+		p.useRepo(ds.Store, *selfScrape)
+		if p.planner != nil {
+			// The simulated cluster's backup schedule is a shock the
+			// planner understands: it sizes backup hours around it and
+			// may move jobs into forecast valleys.
+			p.backups = planner.BackupInfos(ds.Cluster, dbsim.CPU)
+		}
+		if ready, err := p.train(ctx, ds.Start, ds.End); !ready {
+			return err
+		}
+		fmt.Fprintf(stdout, "ready — replaying the agent feed (1 simulated hour per %v tick)\n", *tick)
+
+		ag, err := agent.New(agent.Config{
+			Interval:    15 * time.Minute,
+			FailureRate: *failRate,
+			Seed:        *seed + 1,
+			Obs:         o,
+		}, ds.Cluster, ds.Store)
+		if err != nil {
+			return err
+		}
+		simNow, hour := ds.End, 0
+		for ctx.Err() == nil && (*hours == 0 || hour < *hours) {
+			next := simNow.Add(time.Hour)
+			if _, _, err := ag.CollectCtx(ctx, simNow, next); err != nil {
+				if ctx.Err() != nil {
+					break
+				}
+				return err
+			}
+			if *shiftAfter > 0 && *shiftFactor != 1 && hour >= *shiftAfter && hour < *shiftAfter+*shiftHours {
+				scaleSamples(ds.Store, simNow, next, *shiftFactor)
+			}
+			p.step(ctx, simNow, next)
+			simNow = next
+			hour++
+			if *tick > 0 {
+				pause(ctx, *tick)
+			}
+		}
+		served = fmt.Sprintf("replayed %d simulated hours (%s → %s)",
+			hour, ds.End.Format("2006-01-02 15:04"), simNow.Format("2006-01-02 15:04"))
 	}
-	fmt.Fprintf(stdout, "replayed %d simulated hours (%s → %s)\n",
-		hour, ds.End.Format("2006-01-02 15:04"), simNow.Format("2006-01-02 15:04"))
+	fmt.Fprintln(stdout, served)
 	of.dumpMetrics(stdout, o)
 	return nil
 }
 
-// ingestedOptions carries the serve parameters the ingest-mode loop
-// needs.
-type ingestedOptions struct {
-	engine    core.Options
-	store     *core.ModelStore
-	days      int
-	hours     int
-	tick      time.Duration
-	scraper   *monitor.SelfScraper
-	trainSelf func(context.Context)
-	plan      func(time.Time)
-	dump      func()
+// pipeline is serve's hourly step and everything it closes over: the
+// repository and model store, the monitor and planner, the simulated
+// clock and the self-scraper. The monitor calls back into refit and
+// advance; step runs one hour end to end.
+type pipeline struct {
+	out io.Writer
+	obs *obs.Observer
+	// repo is atomic because HTTP handlers (the targets inventory) read
+	// it while the replay mode is still building it.
+	repo    atomic.Pointer[metricstore.Store]
+	store   *core.ModelStore
+	mon     *monitor.Monitor
+	planner *planner.Planner
+	backups []planner.BackupInfo
+	// clock is simulated now in Unix seconds; atomic because HTTP
+	// handlers read it (through the model store) concurrently with step.
+	clock atomic.Int64
+	// ready flips /readyz once the initial champions are stored.
+	ready atomic.Bool
+	// scraper records the planner's own pipeline metrics as the
+	// capplan.self/* targets; nil with -self-scrape=false.
+	scraper *monitor.SelfScraper
+	engine  core.Options
+	// window is the training window a refit reads back; startAt is the
+	// first trained hour, so no window opens before the history.
+	window  time.Duration
+	startAt time.Time
+	// selfTrain is how many scraped hours a self target needs before its
+	// first champion (0 = never train them).
+	selfTrain int
 }
 
-// serveIngested is serve's remote-repository mode: wait until remote
-// agents have shipped a full training window, train the fleet on it,
-// then follow the ingested feed hour by hour through the monitor —
-// the two-process version of the simulated replay loop.
-func serveIngested(ctx context.Context, stdout io.Writer, o *obs.Observer,
-	repo *metricstore.Store, mon *monitor.Monitor, simClock *atomic.Int64,
-	ready *atomic.Bool, startAt *time.Time, opt ingestedOptions) error {
-	poll := opt.tick
-	if poll <= 0 {
-		poll = 200 * time.Millisecond
-	}
-	trainHours := opt.days * 24
-	fmt.Fprintf(stdout, "ingest mode: waiting for %d hours of remote samples on POST %s\n",
-		trainHours, ingest.Path)
+func (p *pipeline) now() time.Time { return time.Unix(p.clock.Load(), 0).UTC() }
 
-	// The self target is excluded from window intersection: its last
-	// sample always trails the feed (it is written by this very loop), so
-	// including it would stall the hour-consumption logic.
-	exclude := ""
-	if opt.scraper != nil {
-		exclude = opt.scraper.Target()
+// useRepo makes repo the repository every stage reads; with selfScrape
+// the pipeline's own metrics are recorded into it each hour.
+func (p *pipeline) useRepo(repo *metricstore.Store, selfScrape bool) {
+	p.repo.Store(repo)
+	if selfScrape {
+		p.scraper = monitor.NewSelfScraper(repo, p.obs, "")
 	}
-	var first, last time.Time
-	for {
-		var ok bool
-		if first, last, ok = commonWindow(repo, exclude); ok && coveredHours(first, last) >= trainHours {
-			break
-		}
-		select {
-		case <-ctx.Done():
-			fmt.Fprintln(stdout, "interrupted before a full training window was ingested")
-			return nil
-		case <-time.After(poll):
-		}
-	}
-	*startAt = first
-	trainTo := first.Add(time.Duration(trainHours) * time.Hour)
-	simClock.Store(trainTo.Unix())
-	fmt.Fprintf(stdout, "training on ingested window %s → %s (%d series)\n",
-		first.Format("2006-01-02 15:04"), trainTo.Format("2006-01-02 15:04"), len(repo.Keys()))
+}
 
-	res, err := core.RunFleet(ctx, repo, first, trainTo, core.FleetOptions{
-		Engine: opt.engine,
+// train fits the initial champions on [from, to), persists their
+// forecasts and flips /readyz. ready is false, with a nil error, when
+// ctx ended mid-training.
+func (p *pipeline) train(ctx context.Context, from, to time.Time) (ready bool, err error) {
+	repo := p.repo.Load()
+	p.startAt = from
+	p.clock.Store(to.Unix())
+	res, err := core.RunFleet(ctx, repo, from, to, core.FleetOptions{
+		Engine: p.engine,
 		Freq:   timeseries.Hourly,
-		Store:  opt.store,
-		Obs:    o,
+		Store:  p.store,
+		Obs:    p.obs,
 	})
 	if err != nil {
-		return err
+		return false, err
 	}
 	if res.Canceled {
-		fmt.Fprintf(stdout, "initial training canceled: %d trained, %d unprocessed — shutting down\n",
+		fmt.Fprintf(p.out, "initial training canceled: %d trained, %d unprocessed — shutting down\n",
 			res.Trained, res.Unprocessed)
-		return nil
+		return false, nil
 	}
-	fmt.Fprintf(stdout, "initial training: %d trained, %d failed in %v\n",
+	fmt.Fprintf(p.out, "initial training: %d trained, %d failed in %v\n",
 		res.Trained, res.Failed, res.Elapsed.Round(time.Millisecond))
-	snapshotFleetForecasts(repo, opt.store)
-	ready.Store(true)
-	fmt.Fprintln(stdout, "ready — following the ingested feed")
-
-	simNow := trainTo
-	hour := 0
-	more := func() bool { return ctx.Err() == nil && (opt.hours == 0 || hour < opt.hours) }
-	for more() {
-		// Consume every hour the remote agents have completed: a bucket
-		// [simNow, simNow+1h) counts once a sample at or past its end
-		// has arrived on every series.
-		if _, l, ok := commonWindow(repo, exclude); ok {
-			for next := simNow.Add(time.Hour); more() && !l.Before(next); next = simNow.Add(time.Hour) {
-				if opt.scraper != nil {
-					opt.scraper.Sample(simNow)
-				}
-				simClock.Store(next.Unix())
-				observeHour(ctx, repo, mon, simNow, next)
-				if opt.trainSelf != nil {
-					opt.trainSelf(ctx)
-				}
-				mon.EvaluateAlerts(next)
-				if opt.plan != nil {
-					opt.plan(next)
-				}
-				simNow = next
-				hour++
-			}
+	for _, key := range p.store.Keys() {
+		sm, _ := p.store.Peek(key)
+		k, err := metricstore.ParseKey(key)
+		if sm == nil || sm.Result == nil || err != nil {
+			continue
 		}
-		select {
-		case <-ctx.Done():
-		case <-time.After(poll):
+		snapshotForecast(repo, k, sm.Result, sm.FittedAt)
+	}
+	p.ready.Store(true)
+	return true, nil
+}
+
+// step runs one serve hour [from, to): scrape the pipeline's own
+// metrics, advance the clock, score every series' actual (the monitor
+// refits or advances the champions it invalidates), train self targets
+// that have enough history, evaluate alerts and plan.
+func (p *pipeline) step(ctx context.Context, from, to time.Time) {
+	if p.scraper != nil {
+		// Stamped at the completed hour's start so the sample lands in
+		// the bucket observeHour is about to score.
+		p.scraper.Sample(from)
+	}
+	p.clock.Store(to.Unix())
+	observeHour(ctx, p.repo.Load(), p.mon, from, to)
+	p.trainSelf(ctx)
+	p.mon.EvaluateAlerts(to)
+	p.plan(to)
+}
+
+// refit re-learns a champion from the freshest repository window; the
+// monitor calls it synchronously from step. A warm request seeds the
+// engine with the stored champion's parameters and prior candidate
+// scores; with nothing stored the run simply goes cold.
+func (p *pipeline) refit(ctx context.Context, key string, warm bool) (*core.Result, error) {
+	k, err := metricstore.ParseKey(key)
+	if err != nil {
+		return nil, err
+	}
+	repo := p.repo.Load()
+	to := p.now()
+	from := to.Add(-p.window)
+	if from.Before(p.startAt) {
+		from = p.startAt
+	}
+	// A series that began mid-serve (the self targets do) is clamped
+	// to its own first sample, or the window would open with a NaN
+	// prefix no model can fit.
+	if f, _, ok := repo.TimeRange(k); ok && from.Before(f) {
+		from = f
+	}
+	ser, err := repo.Series(k, timeseries.Hourly, from, to)
+	if err != nil {
+		return nil, err
+	}
+	opts := p.engine
+	if warm {
+		if sm, _ := p.store.Peek(key); sm != nil && sm.Result != nil {
+			opts.Warm = core.WarmFromResult(sm.Result)
 		}
 	}
-	fmt.Fprintf(stdout, "followed %d ingested hours (%s → %s)\n",
-		hour, trainTo.Format("2006-01-02 15:04"), simNow.Format("2006-01-02 15:04"))
-	opt.dump()
-	return nil
+	eng, err := core.NewEngine(opts)
+	if err != nil {
+		return nil, err
+	}
+	res, err := eng.Run(ctx, ser)
+	if err == nil {
+		snapshotForecast(repo, k, res, to)
+	}
+	return res, err
+}
+
+// advance rolls a horizon-exhausted champion forward instead of
+// refitting: the hours since the forecast origin fold into the live
+// model's state and the forecast regenerates from the new origin. Any
+// gap (missing samples, no live model) returns an error and the
+// monitor falls back to a real refit.
+func (p *pipeline) advance(_ context.Context, key string, at time.Time) (*core.Result, error) {
+	sm, _ := p.store.Peek(key)
+	if sm == nil || sm.Result == nil {
+		return nil, fmt.Errorf("serve: no stored model for %q", key)
+	}
+	if sm.Result.Live == nil || sm.Result.Forecast == nil {
+		return nil, fmt.Errorf("serve: stored model for %q has no live state", key)
+	}
+	k, err := metricstore.ParseKey(key)
+	if err != nil {
+		return nil, err
+	}
+	repo := p.repo.Load()
+	fc := sm.Result.Forecast
+	step := fc.Freq.Step()
+	// The observations to fold in: every completed bucket from the
+	// forecast origin through the hour that just exhausted it.
+	ser, err := repo.Series(k, fc.Freq, fc.Start, at.Add(step))
+	if err != nil {
+		return nil, err
+	}
+	if ser.Len() == 0 {
+		return nil, fmt.Errorf("serve: no observations to advance %q over", key)
+	}
+	for _, v := range ser.Values {
+		if math.IsNaN(v) {
+			return nil, fmt.Errorf("serve: gap in %q since forecast origin", key)
+		}
+	}
+	res, err := sm.Result.Advanced(ser.Values)
+	if err != nil {
+		return nil, err
+	}
+	if !p.store.ReplaceResult(key, res) {
+		return nil, fmt.Errorf("serve: stored model for %q vanished mid-advance", key)
+	}
+	snapshotForecast(repo, k, res, p.now())
+	return res, nil
+}
+
+// trainSelf gives each self series its first champion once enough
+// history has been scraped; after that the monitor refits them like any
+// other target.
+func (p *pipeline) trainSelf(ctx context.Context) {
+	if p.scraper == nil || p.selfTrain <= 0 || ctx.Err() != nil {
+		return
+	}
+	repo := p.repo.Load()
+	for _, key := range monitor.SelfKeys("") {
+		if _, ok := p.store.Peek(key); ok {
+			continue
+		}
+		k, _ := metricstore.ParseKey(key)
+		f, l, ok := repo.TimeRange(k)
+		if !ok || coveredHours(f, l) < p.selfTrain {
+			continue
+		}
+		res, err := p.refit(ctx, key, false)
+		if err != nil {
+			// Early self series are often near-constant; keep scraping
+			// and try again next hour.
+			p.obs.Debug("self target not yet trainable", "key", key, "err", err)
+			continue
+		}
+		p.store.Put(key, res)
+		p.obs.Info("self target trained", "key", key, "champion", res.Champion.Label,
+			"hours", coveredHours(f, l))
+	}
+}
+
+// plan closes the loop over the champions the monitor scores: it folds
+// their horizon forecasts into a cluster demand curve, sizes the fleet
+// under the headroom policy, exposes the recommendation on
+// /api/v1/plan and feeds it to the alerter (an ignored recommendation
+// escalates pending → firing). A no-op without -plan.
+func (p *pipeline) plan(now time.Time) {
+	if p.planner == nil {
+		return
+	}
+	pol := p.planner.Policy()
+	var fcs []planner.Forecast
+	var names []string
+	for _, key := range p.store.Keys() {
+		// The self-scrape pseudo-target is pipeline telemetry, not
+		// database capacity; it must not inflate the fleet size.
+		k, err := metricstore.ParseKey(key)
+		if err != nil || k.Metric != pol.Metric || k.Target == monitor.DefaultSelfTarget {
+			continue
+		}
+		sm, _ := p.store.Peek(key)
+		if sm == nil || sm.Result == nil || sm.Result.Forecast == nil {
+			continue
+		}
+		fc := sm.Result.Forecast
+		fcs = append(fcs, planner.Forecast{
+			Key: key, Start: fc.Start, Step: fc.Freq.Step(),
+			Mean: fc.Mean, Upper: fc.Upper,
+		})
+		names = append(names, k.Target)
+	}
+	if len(fcs) == 0 {
+		return
+	}
+	sort.Strings(names)
+	// The last completed hour's actual per instance feeds rebalance
+	// detection; a missing observation disables it for the cycle.
+	var loads []float64
+	repo := p.repo.Load()
+	for _, t := range names {
+		ser, err := repo.Series(metricstore.Key{Target: t, Metric: pol.Metric}, timeseries.Hourly, now.Add(-time.Hour), now)
+		if err != nil || ser.Len() == 0 || math.IsNaN(ser.Values[0]) {
+			loads = nil
+			break
+		}
+		loads = append(loads, ser.Values[0])
+	}
+	st := planner.ClusterState{
+		Target: "cluster", Instances: len(names),
+		NodeLoad: loads, Backups: p.backups,
+	}
+	p.planner.Plan(now, st, planner.AggregateDemand(now, pol.HorizonHours, 0, fcs))
+	if rec, ok := p.planner.Recommendation(); ok {
+		p.mon.ObserveCondition(st.Target, planner.GrowCondition, now,
+			rec.Recommended > rec.Instances, float64(rec.Recommended), rec.PeakAt)
+		p.mon.ObserveCondition(st.Target, planner.ShrinkCondition, now,
+			rec.Recommended < rec.Instances, float64(rec.Recommended), rec.PeakAt)
+	}
+}
+
+// pause waits d or until ctx ends, reporting whether ctx is still live.
+func pause(ctx context.Context, d time.Duration) bool {
+	select {
+	case <-ctx.Done():
+		return false
+	case <-time.After(d):
+		return true
+	}
 }
 
 // observeHour feeds the monitor every series' actual for the hour
@@ -717,33 +712,6 @@ func snapshotForecast(repo *metricstore.Store, k metricstore.Key, res *core.Resu
 		Mean: fc.Mean, Lower: fc.Lower, Upper: fc.Upper, SE: fc.SE,
 		FittedAt: fittedAt,
 	})
-}
-
-// snapshotFleetForecasts persists the forecast of every champion the
-// initial fleet training stored.
-func snapshotFleetForecasts(repo *metricstore.Store, store *core.ModelStore) {
-	for _, key := range store.Keys() {
-		sm, _ := store.Peek(key)
-		if sm == nil || sm.Result == nil {
-			continue
-		}
-		i := strings.LastIndexByte(key, '/')
-		if i < 0 {
-			continue
-		}
-		k := metricstore.Key{Target: key[:i], Metric: key[i+1:]}
-		snapshotForecast(repo, k, sm.Result, sm.FittedAt)
-	}
-}
-
-// containsKey reports whether keys already holds key.
-func containsKey(keys []string, key string) bool {
-	for _, k := range keys {
-		if k == key {
-			return true
-		}
-	}
-	return false
 }
 
 // coveredHours counts the hourly buckets the closed sample range

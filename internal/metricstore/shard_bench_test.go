@@ -65,7 +65,7 @@ func runStoreParallel(b *testing.B, s *Store) {
 // duration of the flush. With more shards, writers on other shards keep
 // running while one is inside fsync and concurrent flushes of different
 // segment files overlap in the device queue — the committed
-// BENCH_PR8.json baseline records that scaling. SetParallelism keeps 8
+// BENCH.json baseline records that scaling. SetParallelism keeps 8
 // goroutines contending even on a single-core CI box, and GOMAXPROCS is
 // raised so a thread blocked in fsync never pins the only P.
 func BenchmarkStoreParallel(b *testing.B) {

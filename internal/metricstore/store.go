@@ -21,6 +21,7 @@ import (
 	"io"
 	"math"
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -47,8 +48,20 @@ type Key struct {
 	Metric string
 }
 
-// String implements fmt.Stringer.
+// String implements fmt.Stringer: the "target/metric" form the model
+// store, the monitor and the HTTP endpoints key series by.
 func (k Key) String() string { return k.Target + "/" + k.Metric }
+
+// ParseKey is the inverse of Key.String. It splits at the last '/', so a
+// target may itself contain slashes but a metric cannot; a string with
+// no '/' is an error.
+func ParseKey(s string) (Key, error) {
+	i := strings.LastIndexByte(s, '/')
+	if i < 0 {
+		return Key{}, fmt.Errorf("metricstore: malformed key %q (want target/metric)", s)
+	}
+	return Key{Target: s[:i], Metric: s[i+1:]}, nil
+}
 
 // ForecastSnapshot is a compact copy of the last production forecast
 // stored for one key: the per-step mean, interval bounds and standard

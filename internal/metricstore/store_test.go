@@ -13,6 +13,23 @@ import (
 
 var t0 = time.Date(2026, 1, 5, 0, 0, 0, 0, time.UTC)
 
+func TestParseKeyRoundTrip(t *testing.T) {
+	for _, k := range []Key{
+		{Target: "cdbm011", Metric: "cpu"},
+		{Target: "eu/west/cdbm011", Metric: "logical_iops"},
+		{Target: "cdbm011", Metric: ""},
+		{Target: "", Metric: "cpu"},
+	} {
+		got, err := ParseKey(k.String())
+		if err != nil || got != k {
+			t.Errorf("ParseKey(%q) = %+v, %v; want %+v", k.String(), got, err, k)
+		}
+	}
+	if k, err := ParseKey("cdbm011"); err == nil {
+		t.Errorf("ParseKey without '/' = %+v, want an error", k)
+	}
+}
+
 func TestPutAndRawOrdering(t *testing.T) {
 	s := New()
 	k := Key{Target: "db1", Metric: "cpu"}

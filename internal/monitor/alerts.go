@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/metricstore"
 	"repro/internal/obs"
 )
 
@@ -64,8 +65,8 @@ type Rule struct {
 
 // matches reports whether the rule governs a workload key.
 func (r Rule) matches(key string) bool {
-	i := strings.LastIndexByte(key, '/')
-	return i >= 0 && key[i+1:] == r.Metric
+	k, err := metricstore.ParseKey(key)
+	return err == nil && k.Metric == r.Metric
 }
 
 // Alert is the live state of one (workload key, rule) pair.
@@ -98,7 +99,10 @@ type Alerter struct {
 	// a firing alert.
 	pendingTicks, resolveTicks int
 	alerts                     map[string]*Alert
-	obs                        *obs.Observer
+	// inState counts the alerts in each state; setState keeps it
+	// current, so the gauges never rescan the alerts.
+	inState [StateResolved + 1]int
+	obs     *obs.Observer
 }
 
 // NewAlerter builds an alerter over rules. pendingTicks and resolveTicks
@@ -191,6 +195,7 @@ func (a *Alerter) transition(key string, r Rule, now time.Time, breaching bool, 
 	if al == nil {
 		al = &Alert{Key: key, Rule: r, State: StateInactive, Since: now}
 		a.alerts[id] = al
+		a.inState[StateInactive]++
 	}
 	word := "capacity"
 	switch {
@@ -206,8 +211,7 @@ func (a *Alerter) transition(key string, r Rule, now time.Time, breaching bool, 
 		al.clearRun = 0
 		switch al.State {
 		case StateInactive, StateResolved:
-			al.State = StatePending
-			al.Since = now
+			a.setState(al, StatePending, now)
 			al.breachRun = 1
 			a.count("pending", key, r.Metric)
 			a.obs.Info(word+" alert pending", "key", key, "metric", r.Metric,
@@ -215,8 +219,7 @@ func (a *Alerter) transition(key string, r Rule, now time.Time, breaching bool, 
 				"breach_at", breachAt.Format(time.RFC3339))
 		case StatePending:
 			if al.breachRun >= a.pendingTicks {
-				al.State = StateFiring
-				al.Since = now
+				a.setState(al, StateFiring, now)
 				al.FiredAt = now
 				al.ResolvedAt = time.Time{}
 				a.count("firing", key, r.Metric)
@@ -232,20 +235,27 @@ func (a *Alerter) transition(key string, r Rule, now time.Time, breaching bool, 
 	switch al.State {
 	case StatePending:
 		// A breach that clears before firing is a flap, not an incident.
-		al.State = StateInactive
-		al.Since = now
+		a.setState(al, StateInactive, now)
 		a.count("flap", key, r.Metric)
 		a.obs.Debug(word+" alert flap suppressed", "key", key, "metric", r.Metric)
 	case StateFiring:
 		if al.clearRun >= a.resolveTicks {
-			al.State = StateResolved
-			al.Since = now
+			a.setState(al, StateResolved, now)
 			al.ResolvedAt = now
 			a.count("resolved", key, r.Metric)
 			a.obs.Info(word+" alert resolved", "key", key, "metric", r.Metric,
 				"threshold", r.Threshold)
 		}
 	}
+}
+
+// setState moves al into state s at now and keeps the per-state counts
+// in step. transition, holding a.mu, is its only caller.
+func (a *Alerter) setState(al *Alert, s AlertState, now time.Time) {
+	a.inState[al.State]--
+	a.inState[s]++
+	al.State = s
+	al.Since = now
 }
 
 func (a *Alerter) count(state, key, metric string) {
@@ -256,15 +266,7 @@ func (a *Alerter) count(state, key, metric string) {
 // publishGauges exports the live firing/pending counts.
 func (a *Alerter) publishGauges() {
 	a.mu.Lock()
-	var firing, pending int
-	for _, al := range a.alerts {
-		switch al.State {
-		case StateFiring:
-			firing++
-		case StatePending:
-			pending++
-		}
-	}
+	firing, pending := a.inState[StateFiring], a.inState[StatePending]
 	a.mu.Unlock()
 	a.obs.SetGauge("monitor_alerts_firing", float64(firing))
 	a.obs.SetGauge("monitor_alerts_pending", float64(pending))

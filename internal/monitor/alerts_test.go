@@ -1,10 +1,12 @@
 package monitor
 
 import (
+	"math/rand"
 	"testing"
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/obs"
 	"repro/internal/timeseries"
 )
 
@@ -307,5 +309,41 @@ func TestThreeAlertSourcesCoexist(t *testing.T) {
 		!byMetric[DriftCondition].ResolvedAt.Before(byMetric["cpu"].ResolvedAt) {
 		t.Errorf("resolution order wrong: plan=%v drift=%v cpu=%v",
 			byMetric[planGrow].ResolvedAt, byMetric[DriftCondition].ResolvedAt, byMetric["cpu"].ResolvedAt)
+	}
+}
+
+// TestAlertGaugesMatchRecount drives a random mix of forecast rules and
+// external conditions over a few keys and checks after every evaluation
+// that the firing/pending gauges equal a full recount of the alerts.
+func TestAlertGaugesMatchRecount(t *testing.T) {
+	o := obs.New(obs.Config{Metrics: true})
+	a := NewAlerter([]Rule{{Metric: "cpu", Threshold: 80}, {Metric: "memory", Threshold: 100}}, 2, 2, o)
+	rng := rand.New(rand.NewSource(1))
+	keys := []string{"db1/cpu", "db2/cpu", "db1/memory", "eu/db3/cpu", "db1/logical_iops"}
+	t0 := time.Date(2026, 1, 1, 0, 0, 0, 0, time.UTC)
+	for step := 0; step < 2000; step++ {
+		now := t0.Add(time.Duration(step) * time.Hour)
+		key := keys[rng.Intn(len(keys))]
+		if rng.Intn(3) == 0 {
+			a.ObserveCondition(key, DriftCondition, now, rng.Intn(2) == 0, 1, now)
+		} else {
+			a.Observe(key, now, prediction(now, float64(rng.Intn(200))))
+		}
+		var firing, pending float64
+		for _, al := range a.Alerts() {
+			switch al.State {
+			case StateFiring:
+				firing++
+			case StatePending:
+				pending++
+			}
+		}
+		reg := o.Registry()
+		if got := reg.GaugeValue("monitor_alerts_firing"); got != firing {
+			t.Fatalf("step %d: firing gauge %v, recount %v", step, got, firing)
+		}
+		if got := reg.GaugeValue("monitor_alerts_pending"); got != pending {
+			t.Fatalf("step %d: pending gauge %v, recount %v", step, got, pending)
+		}
 	}
 }

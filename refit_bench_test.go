@@ -40,7 +40,7 @@ func refitBenchEngine(b *testing.B, warm *core.WarmStart) *core.Engine {
 
 // BenchmarkRefitCold measures the seed behaviour: the full pruned grid,
 // every candidate optimised from the cold simplex. This is the per-refit
-// cost the incremental-refit tiers are gated against (BENCH_PR10.json).
+// cost the incremental-refit tiers are gated against (BENCH.json).
 func BenchmarkRefitCold(b *testing.B) {
 	b.ReportAllocs()
 	ser := refitBenchSeries(b)
