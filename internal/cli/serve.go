@@ -280,8 +280,8 @@ func CapplanServe(ctx context.Context, args []string, stdout io.Writer) error {
 		}
 		var first time.Time
 		for {
-			f, l, ok := commonWindow(repo, exclude)
-			if ok && coveredHours(f, l) >= trainHours {
+			f, ok := trainingWindow(repo, exclude, trainHours)
+			if ok {
 				first = f
 				break
 			}
@@ -696,6 +696,18 @@ func commonWindow(repo *metricstore.Store, excludeTarget string) (first, last ti
 		ok = true
 	}
 	return first, last, ok
+}
+
+// trainingWindow returns the start of the common window once it holds
+// trainHours complete hours: a sample at or past first+trainHours has
+// arrived on every series, the rule the follow loop applies to each
+// hour it consumes.
+func trainingWindow(repo *metricstore.Store, excludeTarget string, trainHours int) (first time.Time, ok bool) {
+	f, l, ok := commonWindow(repo, excludeTarget)
+	if !ok || l.Before(f.Add(time.Duration(trainHours)*time.Hour)) {
+		return time.Time{}, false
+	}
+	return f, true
 }
 
 // snapshotForecast persists a compact copy of res's production

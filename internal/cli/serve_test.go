@@ -11,6 +11,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"repro/internal/metricstore"
 )
 
 func TestCapplanServeReplaysAndDumps(t *testing.T) {
@@ -446,5 +448,32 @@ func TestServeRejectsUnknownFsyncPolicy(t *testing.T) {
 	}, &out)
 	if err == nil || !strings.Contains(err.Error(), "fsync policy") {
 		t.Fatalf("err = %v, want unknown fsync policy", err)
+	}
+}
+
+// Ingest mode trains only once the window's final hour is complete on
+// every series: 15-minute polls through 23:00 reach the start of a
+// one-day window's last hour, not its end.
+func TestIngestTrainingWaitsForFullWindow(t *testing.T) {
+	start := time.Date(2026, 3, 2, 0, 0, 0, 0, time.UTC)
+	repo := metricstore.New()
+	put := func(metric string, at time.Time) {
+		repo.Put(metricstore.Sample{Target: "cdbm011", Metric: metric, At: at, Value: 1})
+	}
+	for at := start; !at.After(start.Add(23 * time.Hour)); at = at.Add(15 * time.Minute) {
+		put("cpu", at)
+		put("memory", at)
+	}
+	if _, ok := trainingWindow(repo, "", 24); ok {
+		t.Fatal("trained with the window's last hour holding one of its four polls")
+	}
+	put("cpu", start.Add(24*time.Hour))
+	if _, ok := trainingWindow(repo, "", 24); ok {
+		t.Fatal("trained before every series completed the window")
+	}
+	put("memory", start.Add(24*time.Hour))
+	first, ok := trainingWindow(repo, "", 24)
+	if !ok || !first.Equal(start) {
+		t.Fatalf("trainingWindow = %v, %v; want %v, true", first, ok, start)
 	}
 }

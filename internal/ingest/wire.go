@@ -16,6 +16,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/metricstore"
@@ -113,13 +114,35 @@ func EncodeBatchTraced(w io.Writer, samples []metricstore.Sample, traceparent st
 			Value:  s.Value,
 		}
 	}
-	zw := gzip.NewWriter(w)
+	zw := spareGzip.Swap(nil)
+	if zw == nil {
+		zw = gzip.NewWriter(w)
+	} else {
+		zw.Reset(w)
+	}
+	defer func() {
+		// Drop the reference to w before the writer is kept.
+		zw.Reset(io.Discard)
+		spareGzip.Store(zw)
+	}()
 	if err := json.NewEncoder(zw).Encode(batch); err != nil {
 		zw.Close()
 		return fmt.Errorf("ingest: encode batch: %w", err)
 	}
 	return zw.Close()
 }
+
+// spareGzip keeps one batch compressor between calls. A gzip.Writer
+// allocates its deflate state (several hundred KB) on first use, a fixed
+// cost that made a fresh writer per batch dominate the encoding of small
+// batches; Reset returns a writer to exactly gzip.NewWriter's state, so
+// the bytes written do not change. A caller that finds the slot empty (a
+// concurrent encode holds the writer) makes a fresh one. One slot rather
+// than a sync.Pool: a pool's per-P caches and its survival of one GC cycle
+// leave zero, one or several writers live depending on scheduling, so
+// the process's heap would vary from run to run by a writer's size; the
+// slot always holds exactly one after the first batch.
+var spareGzip atomic.Pointer[gzip.Writer]
 
 // DecodeBatch reads one gzip-compressed envelope from r, checks the
 // version, enforces maxSamples (0 = unlimited) and validates every

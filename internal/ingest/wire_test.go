@@ -6,6 +6,7 @@ import (
 	"io"
 	"math"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -47,6 +48,67 @@ func TestWireRoundTrip(t *testing.T) {
 		}
 		if out[i].At.Location() != time.UTC {
 			t.Fatalf("sample %d not UTC: %v", i, out[i].At)
+		}
+	}
+}
+
+// A reused compressor must write exactly what a fresh gzip.NewWriter
+// writes for the same envelope, whatever batch it compressed before.
+func TestReusedEncodeMatchesFreshWriter(t *testing.T) {
+	const tp = "00-0af7651916cd43dd8448eb211c80319c-b7ad6b7169203331-01"
+	for _, traceparent := range []string{"", tp} {
+		for _, n := range []int{1, 72, 500} {
+			for round := 0; round < 3; round++ {
+				var buf bytes.Buffer
+				if err := EncodeBatchTraced(&buf, wireSamples(n), traceparent); err != nil {
+					t.Fatal(err)
+				}
+				fresh, err := io.ReadAll(regzip(t, gunzip(t, buf.Bytes())))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(buf.Bytes(), fresh) {
+					t.Fatalf("%d samples, traceparent %q, round %d: reused writer's output differs from a fresh writer's",
+						n, traceparent, round)
+				}
+			}
+		}
+	}
+}
+
+// Concurrent encodes share one spare compressor: whoever finds the slot
+// empty makes a fresh writer, and no output is corrupted by another's.
+func TestConcurrentEncodesMatchFreshWriter(t *testing.T) {
+	const goroutines, rounds = 8, 20
+	out := make([][][]byte, goroutines)
+	errs := make([]error, goroutines)
+	var wg sync.WaitGroup
+	for g := range out {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for round := 0; round < rounds; round++ {
+				var buf bytes.Buffer
+				if errs[g] = EncodeBatch(&buf, wireSamples(1+71*g)); errs[g] != nil {
+					return
+				}
+				out[g] = append(out[g], buf.Bytes())
+			}
+		}()
+	}
+	wg.Wait()
+	for g, batches := range out {
+		if errs[g] != nil {
+			t.Fatal(errs[g])
+		}
+		for round, b := range batches {
+			fresh, err := io.ReadAll(regzip(t, gunzip(t, b)))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(b, fresh) {
+				t.Fatalf("%d samples, round %d: output differs from a fresh writer's", 1+71*g, round)
+			}
 		}
 	}
 }

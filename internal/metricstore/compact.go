@@ -10,9 +10,10 @@ package metricstore
 import (
 	"bufio"
 	"encoding/gob"
+	"math"
 	"os"
 	"path/filepath"
-	"sort"
+	"slices"
 	"time"
 )
 
@@ -84,11 +85,11 @@ func (sh *shard) compact(retention time.Duration) (bool, int, error) {
 	rotated := append([]uint64(nil), sh.wal.rotated...)
 	sh.wal.rotated = nil
 	p := persisted{
-		Samples:   make(map[Key][]Sample, len(sh.samples)),
+		Columns:   make(map[Key]*column, len(sh.samples)),
 		Forecasts: make(map[Key]ForecastSnapshot, len(sh.forecasts)),
 	}
-	for k, list := range sh.samples {
-		p.Samples[k] = append([]Sample(nil), list...)
+	for k, c := range sh.samples {
+		p.Columns[k] = c.clone()
 	}
 	for k, fs := range sh.forecasts {
 		p.Forecasts[k] = fs
@@ -122,19 +123,23 @@ func (sh *shard) applyRetentionLocked(retention time.Duration) int {
 		return 0
 	}
 	dropped := 0
-	for k, list := range sh.samples {
-		if len(list) == 0 {
+	for _, c := range sh.samples {
+		if len(c.At) == 0 {
 			continue
 		}
-		cutoff := list[len(list)-1].At.Add(-retention)
-		i := sort.Search(len(list), func(i int) bool { return !list[i].At.Before(cutoff) })
+		last := c.At[len(c.At)-1]
+		cutoff := last - int64(retention)
+		if cutoff > last { // wrapped below the column range
+			cutoff = math.MinInt64
+		}
+		i, _ := slices.BinarySearch(c.At, cutoff)
 		if i == 0 {
 			continue
 		}
 		dropped += i
-		kept := make([]Sample, len(list)-i)
-		copy(kept, list[i:])
-		sh.samples[k] = kept
+		// Copy the kept tail so the dropped head's memory is freed.
+		c.At = slices.Clone(c.At[i:])
+		c.Value = slices.Clone(c.Value[i:])
 	}
 	return dropped
 }

@@ -10,6 +10,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"sort"
 	"sync"
 	"testing"
 	"time"
@@ -25,6 +26,23 @@ type legacyStore struct {
 }
 
 func newLegacy() *legacyStore { return &legacyStore{samples: make(map[Key][]Sample)} }
+
+// insertSample is the seed's row merge: add smp to a time-sorted slice,
+// overwriting an existing sample at the same timestamp.
+func insertSample(list []Sample, smp Sample) []Sample {
+	if n := len(list); n == 0 || smp.At.After(list[n-1].At) {
+		return append(list, smp)
+	}
+	i := sort.Search(len(list), func(i int) bool { return !list[i].At.Before(smp.At) })
+	if i < len(list) && list[i].At.Equal(smp.At) {
+		list[i] = smp
+		return list
+	}
+	list = append(list, Sample{})
+	copy(list[i+1:], list[i:])
+	list[i] = smp
+	return list
+}
 
 func (l *legacyStore) put(smp Sample) {
 	l.mu.Lock()

@@ -6,7 +6,7 @@
 //
 // The repository is sharded: Key{Target, Metric} hashes (FNV-1a) onto a
 // power-of-two number of independent shards, each with its own lock,
-// sorted sample slices, forecast snapshots and trace lineage, so a
+// sorted sample columns, forecast snapshots and trace lineage, so a
 // remote-write PutBatch and a concurrent Series range query on different
 // keys never contend on one mutex. Opened with a directory, every shard
 // is additionally backed by an append-only WAL (see wal.go) with segment
@@ -20,6 +20,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -126,8 +127,9 @@ type shard struct {
 	store *Store
 	idx   int
 	mu    sync.RWMutex
-	// samples is kept sorted by time per key.
-	samples   map[Key][]Sample
+	// samples holds each key's time-sorted column pair; the key's
+	// strings live once, in the map key.
+	samples   map[Key]*column
 	forecasts map[Key]ForecastSnapshot
 	// lastTrace remembers, per key, the traceparent of the most recent
 	// traced batch that wrote the key. It is the async hand-off that lets
@@ -208,7 +210,7 @@ func Open(opts Options) (*Store, error) {
 		sh := &shard{
 			store:     s,
 			idx:       i,
-			samples:   make(map[Key][]Sample),
+			samples:   make(map[Key]*column),
 			forecasts: make(map[Key]ForecastSnapshot),
 			lastTrace: make(map[Key]string),
 		}
@@ -319,35 +321,62 @@ func (s *Store) Put(smp Sample) {
 	sh.mu.Lock()
 	sh.one[0] = smp
 	sh.logSamples(sh.one[:])
-	sh.samples[k] = insertSample(sh.samples[k], smp)
+	sh.column(k).insert(smp.At.UnixNano(), smp.Value)
 	sh.mu.Unlock()
 }
 
-// insertSample adds smp to a time-sorted slice, overwriting an existing
-// sample at the same timestamp.
-func insertSample(list []Sample, smp Sample) []Sample {
+// column is one key's samples as two parallel columns sorted by time:
+// At holds each sample's instant as Unix nanoseconds (the WAL's
+// timestamp encoding), Value its value. Neither holds a pointer, so the
+// garbage collector never scans the repository's samples, and a sample
+// costs 16 B plus append slack. The fields are exported for gob, which
+// writes columns into snapshots and Save images.
+type column struct {
+	At    []int64
+	Value []float64
+}
+
+// insert adds one sample, overwriting an existing sample at the same
+// instant.
+func (c *column) insert(at int64, v float64) {
 	// Fast path: append in order.
-	if n := len(list); n == 0 || smp.At.After(list[n-1].At) {
-		return append(list, smp)
+	if n := len(c.At); n == 0 || at > c.At[n-1] {
+		c.At = append(c.At, at)
+		c.Value = append(c.Value, v)
+		return
 	}
-	// Find the insertion point.
-	i := sort.Search(len(list), func(i int) bool { return !list[i].At.Before(smp.At) })
-	if i < len(list) && list[i].At.Equal(smp.At) {
-		list[i] = smp
-		return list
+	i, found := slices.BinarySearch(c.At, at)
+	if found {
+		c.Value[i] = v
+		return
 	}
-	list = append(list, Sample{})
-	copy(list[i+1:], list[i:])
-	list[i] = smp
-	return list
+	c.At = slices.Insert(c.At, i, at)
+	c.Value = slices.Insert(c.Value, i, v)
+}
+
+// clone deep-copies c: insert mutates the columns in place, so a copy
+// read outside the shard lock must not share their backing arrays.
+func (c *column) clone() *column {
+	return &column{At: slices.Clone(c.At), Value: slices.Clone(c.Value)}
+}
+
+// column returns k's column, creating it empty. Called under the shard
+// write lock.
+func (sh *shard) column(k Key) *column {
+	c := sh.samples[k]
+	if c == nil {
+		c = &column{}
+		sh.samples[k] = c
+	}
+	return c
 }
 
 // PutBatch records many samples under a single lock acquisition per
 // touched shard and a single ingestion-counter bump: each shard's
 // sub-batch is walked in order (so later duplicates win exactly as with
 // sequential Put) and each sample is merged into its key's sorted
-// slice, with the slice and map write cached across runs of the same
-// key. Batches for different shards never contend.
+// columns, with the column lookup cached across runs of the same key.
+// Batches for different shards never contend.
 func (s *Store) PutBatch(batch []Sample) {
 	if len(batch) == 0 {
 		return
@@ -390,21 +419,15 @@ func (sh *shard) putBatch(batch []Sample) {
 	defer sh.mu.Unlock()
 	sh.logSamples(batch)
 	var (
-		k    Key
-		list []Sample
-		have bool
+		k Key
+		c *column
 	)
 	for i := range batch {
-		nk := Key{Target: batch[i].Target, Metric: batch[i].Metric}
-		if !have || nk != k {
-			if have {
-				sh.samples[k] = list
-			}
-			k, list, have = nk, sh.samples[nk], true
+		if nk := (Key{Target: batch[i].Target, Metric: batch[i].Metric}); c == nil || nk != k {
+			k, c = nk, sh.column(nk)
 		}
-		list = insertSample(list, batch[i])
+		c.insert(batch[i].At.UnixNano(), batch[i].Value)
 	}
-	sh.samples[k] = list
 }
 
 // logSamples appends batch to the shard WAL (nop in-memory). Called
@@ -500,15 +523,27 @@ func (s *Store) Count(k Key) int {
 	sh := s.shardFor(k)
 	sh.mu.RLock()
 	defer sh.mu.RUnlock()
-	return len(sh.samples[k])
+	if c := sh.samples[k]; c != nil {
+		return len(c.At)
+	}
+	return 0
 }
 
-// Raw returns the raw samples for a key in time order (copy).
+// Raw returns the raw samples for a key in time order (a copy rebuilt
+// from the key's columns: each At is the stored instant, in UTC).
 func (s *Store) Raw(k Key) []Sample {
 	sh := s.shardFor(k)
 	sh.mu.RLock()
 	defer sh.mu.RUnlock()
-	return append([]Sample(nil), sh.samples[k]...)
+	c := sh.samples[k]
+	if c == nil {
+		return nil
+	}
+	out := make([]Sample, len(c.At))
+	for i := range out {
+		out[i] = Sample{Target: k.Target, Metric: k.Metric, At: time.Unix(0, c.At[i]).UTC(), Value: c.Value[i]}
+	}
+	return out
 }
 
 // Series assembles a regular time series from the raw samples of k at the
@@ -530,18 +565,20 @@ func (s *Store) Series(k Key, freq timeseries.Frequency, from, to time.Time) (*t
 	sums := make([]float64, n)
 	counts := make([]int, n)
 
+	lo, hi := unixNano(from), unixNano(to)
 	sh := s.shardFor(k)
 	sh.mu.RLock()
-	list := sh.samples[k]
-	// Binary search to the first sample >= from.
-	i := sort.Search(len(list), func(i int) bool { return !list[i].At.Before(from) })
-	for ; i < len(list) && list[i].At.Before(to); i++ {
-		b := int(list[i].At.Sub(from) / step)
-		if b < 0 || b >= n {
-			continue
+	if c := sh.samples[k]; c != nil {
+		// Binary search to the first sample >= from.
+		i, _ := slices.BinarySearch(c.At, lo)
+		for ; i < len(c.At) && c.At[i] < hi; i++ {
+			b := int(time.Unix(0, c.At[i]).Sub(from) / step)
+			if b < 0 || b >= n {
+				continue
+			}
+			sums[b] += c.Value[i]
+			counts[b]++
 		}
-		sums[b] += list[i].Value
-		counts[b]++
 	}
 	sh.mu.RUnlock()
 
@@ -563,17 +600,35 @@ func (s *Store) Series(k Key, freq timeseries.Frequency, from, to time.Time) (*t
 	return timeseries.New(k.String(), from, freq, values), nil
 }
 
+// The instants a column can hold: Unix nanoseconds span 1677–2262.
+var (
+	minNanoTime = time.Unix(0, math.MinInt64)
+	maxNanoTime = time.Unix(0, math.MaxInt64)
+)
+
+// unixNano is t.UnixNano saturated at the column range's ends, so a
+// query bound outside it still orders correctly against every sample.
+func unixNano(t time.Time) int64 {
+	switch {
+	case t.Before(minNanoTime):
+		return math.MinInt64
+	case t.After(maxNanoTime):
+		return math.MaxInt64
+	}
+	return t.UnixNano()
+}
+
 // TimeRange returns the first and last sample times for k, or ok=false
 // when the key holds no samples.
 func (s *Store) TimeRange(k Key) (first, last time.Time, ok bool) {
 	sh := s.shardFor(k)
 	sh.mu.RLock()
 	defer sh.mu.RUnlock()
-	list := sh.samples[k]
-	if len(list) == 0 {
+	c := sh.samples[k]
+	if c == nil || len(c.At) == 0 {
 		return time.Time{}, time.Time{}, false
 	}
-	return list[0].At, list[len(list)-1].At, true
+	return time.Unix(0, c.At[0]).UTC(), time.Unix(0, c.At[len(c.At)-1]).UTC(), true
 }
 
 // PutForecast stores (or replaces) the last-forecast snapshot for
@@ -614,13 +669,45 @@ func (s *Store) ForecastKeys() []Key {
 	return out
 }
 
-// persisted is the gob wire format of the legacy whole-image snapshot
-// (and of the per-shard compaction snapshots). Forecasts was added
-// after Samples; gob tolerates its absence, so images saved by older
-// builds load cleanly (with no snapshots).
+// persisted is the gob form of a Save image and of a per-shard
+// compaction snapshot. Columns holds every key's samples as its column
+// pair. Samples is the row form builds before the column layout wrote;
+// it is only read, so their images and snapshots still load. Forecasts
+// was added after Samples; gob tolerates its absence, so images saved
+// by older builds load cleanly (with no snapshots).
 type persisted struct {
 	Samples   map[Key][]Sample
 	Forecasts map[Key]ForecastSnapshot
+	Columns   map[Key]*column
+}
+
+// columns returns the image's samples as columns, converting the row
+// form and checking that every written column is well formed: paired
+// lengths and strictly increasing instants.
+func (p *persisted) columns() (map[Key]*column, error) {
+	cols := make(map[Key]*column, len(p.Samples)+len(p.Columns))
+	for k, list := range p.Samples {
+		c := &column{At: make([]int64, 0, len(list)), Value: make([]float64, 0, len(list))}
+		for _, smp := range list {
+			c.insert(smp.At.UnixNano(), smp.Value)
+		}
+		cols[k] = c
+	}
+	for k, c := range p.Columns {
+		if c == nil || len(c.At) != len(c.Value) {
+			return nil, fmt.Errorf("metricstore: column %s: time and value lengths differ", k)
+		}
+		for i := 1; i < len(c.At); i++ {
+			if c.At[i] <= c.At[i-1] {
+				return nil, fmt.Errorf("metricstore: column %s: instants out of order at %d", k, i)
+			}
+		}
+		if _, dup := cols[k]; dup {
+			return nil, fmt.Errorf("metricstore: key %s stored in both row and column form", k)
+		}
+		cols[k] = c
+	}
+	return cols, nil
 }
 
 // Save writes the full repository to w in gob format. The state is
@@ -631,15 +718,13 @@ type persisted struct {
 // landing just before or after would be).
 func (s *Store) Save(w io.Writer) error {
 	p := persisted{
-		Samples:   make(map[Key][]Sample),
+		Columns:   make(map[Key]*column),
 		Forecasts: make(map[Key]ForecastSnapshot),
 	}
 	for _, sh := range s.shards {
 		sh.mu.RLock()
-		for k, list := range sh.samples {
-			// Deep copy: insertSample mutates slices in place, so sharing
-			// the backing array with a concurrent writer would race.
-			p.Samples[k] = append([]Sample(nil), list...)
+		for k, c := range sh.samples {
+			p.Columns[k] = c.clone()
 		}
 		for k, fs := range sh.forecasts {
 			p.Forecasts[k] = fs
@@ -660,20 +745,24 @@ func (s *Store) Load(r io.Reader) error {
 	if err := gob.NewDecoder(r).Decode(&p); err != nil {
 		return fmt.Errorf("metricstore: load: %w", err)
 	}
+	cols, err := p.columns()
+	if err != nil {
+		return fmt.Errorf("metricstore: load: %w", err)
+	}
 	type part struct {
-		samples   map[Key][]Sample
+		samples   map[Key]*column
 		forecasts map[Key]ForecastSnapshot
 	}
 	parts := make([]part, len(s.shards))
 	for i := range parts {
 		parts[i] = part{
-			samples:   make(map[Key][]Sample),
+			samples:   make(map[Key]*column),
 			forecasts: make(map[Key]ForecastSnapshot),
 		}
 	}
-	for k, list := range p.Samples {
+	for k, c := range cols {
 		idx := s.shardFor(k).idx
-		parts[idx].samples[k] = list
+		parts[idx].samples[k] = c
 	}
 	for k, fs := range p.Forecasts {
 		idx := s.shardFor(k).idx
@@ -689,8 +778,8 @@ func (s *Store) Load(r io.Reader) error {
 			if err := sh.wal.reset(); err != nil && first == nil {
 				first = err
 			}
-			for _, list := range parts[i].samples {
-				if _, _, err := sh.wal.appendSamples(list); err != nil && first == nil {
+			for k, c := range parts[i].samples {
+				if _, _, err := sh.wal.appendColumn(k, c); err != nil && first == nil {
 					first = err
 				}
 			}

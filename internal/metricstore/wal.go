@@ -29,7 +29,6 @@ import (
 	"sort"
 	"strconv"
 	"strings"
-	"time"
 )
 
 // SyncPolicy selects when the WAL calls fsync.
@@ -111,8 +110,12 @@ func loadOrInitMeta(root string, shards int) (int, error) {
 
 // shardState is the in-memory image recovery rebuilds.
 type shardState struct {
-	samples   map[Key][]Sample
+	samples   map[Key]*column
 	forecasts map[Key]ForecastSnapshot
+	// byFrame indexes samples by a sample frame's encoded key bytes
+	// (both length-prefixed strings), so replay finds a key's column
+	// without allocating its strings for every record.
+	byFrame map[string]*column
 }
 
 // walReplayStats counts what one shard's recovery restored.
@@ -156,8 +159,9 @@ func openWAL(dir string, segmentBytes int64, policy SyncPolicy) (*wal, shardStat
 		return nil, state, stats, err
 	}
 	state = shardState{
-		samples:   make(map[Key][]Sample),
+		samples:   make(map[Key]*column),
 		forecasts: make(map[Key]ForecastSnapshot),
+		byFrame:   make(map[string]*column),
 	}
 	var snapSeq uint64
 	if len(snaps) > 0 {
@@ -249,14 +253,32 @@ func (w *wal) openActive() error {
 // Returns the bytes appended and whether the active segment rotated.
 func (w *wal) appendSamples(batch []Sample) (n int64, rotated bool, err error) {
 	for i := range batch {
-		w.buf = encodeSample(w.buf[:0], batch[i])
-		if ferr := w.appendFrame(w.buf); ferr != nil {
-			return n, rotated, ferr
+		if err := w.appendSample(batch[i].Target, batch[i].Metric, batch[i].At.UnixNano(), batch[i].Value); err != nil {
+			return n, rotated, err
 		}
 		n += int64(len(w.buf) + frameHeaderLen)
 	}
 	rotated, err = w.commit()
 	return n, rotated, err
+}
+
+// appendColumn logs every sample of k's column, one frame per sample,
+// exactly as appendSamples would log them as rows.
+func (w *wal) appendColumn(k Key, c *column) (n int64, rotated bool, err error) {
+	for i := range c.At {
+		if err := w.appendSample(k.Target, k.Metric, c.At[i], c.Value[i]); err != nil {
+			return n, rotated, err
+		}
+		n += int64(len(w.buf) + frameHeaderLen)
+	}
+	rotated, err = w.commit()
+	return n, rotated, err
+}
+
+// appendSample encodes one sample frame into w.buf and writes it.
+func (w *wal) appendSample(target, metric string, at int64, v float64) error {
+	w.buf = encodeSample(w.buf[:0], target, metric, at, v)
+	return w.appendFrame(w.buf)
 }
 
 // appendForecast logs one forecast snapshot (gob payload — snapshots
@@ -362,40 +384,64 @@ func (w *wal) reset() error {
 
 // encodeSample frames one sample: type byte, uvarint-length strings,
 // fixed64 UnixNano and value bits.
-func encodeSample(buf []byte, s Sample) []byte {
+func encodeSample(buf []byte, target, metric string, at int64, v float64) []byte {
 	buf = append(buf, recSample)
-	buf = binary.AppendUvarint(buf, uint64(len(s.Target)))
-	buf = append(buf, s.Target...)
-	buf = binary.AppendUvarint(buf, uint64(len(s.Metric)))
-	buf = append(buf, s.Metric...)
-	buf = binary.LittleEndian.AppendUint64(buf, uint64(s.At.UnixNano()))
-	buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(s.Value))
+	buf = binary.AppendUvarint(buf, uint64(len(target)))
+	buf = append(buf, target...)
+	buf = binary.AppendUvarint(buf, uint64(len(metric)))
+	buf = append(buf, metric...)
+	buf = binary.LittleEndian.AppendUint64(buf, uint64(at))
+	buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(v))
 	return buf
 }
 
+// sampleFrame is a decoded sample payload. target and metric alias the
+// payload; keyBytes is the length-prefixed pair both were read from.
+type sampleFrame struct {
+	keyBytes       []byte
+	target, metric []byte
+	at             int64
+	value          float64
+}
+
 // decodeSample reverses encodeSample (payload without the type byte).
-func decodeSample(p []byte) (Sample, error) {
-	var s Sample
-	tl, n := binary.Uvarint(p)
-	if n <= 0 || uint64(len(p)-n) < tl {
-		return s, fmt.Errorf("bad target length")
+func decodeSample(p []byte) (sampleFrame, error) {
+	var f sampleFrame
+	if len(p) < 16 {
+		return f, fmt.Errorf("bad sample payload length")
 	}
-	p = p[n:]
-	s.Target = string(p[:tl])
-	p = p[tl:]
-	ml, n := binary.Uvarint(p)
-	if n <= 0 || uint64(len(p)-n) < ml {
-		return s, fmt.Errorf("bad metric length")
+	f.keyBytes = p[:len(p)-16]
+	q := f.keyBytes
+	tl, n := binary.Uvarint(q)
+	if n <= 0 || uint64(len(q)-n) < tl {
+		return f, fmt.Errorf("bad target length")
 	}
-	p = p[n:]
-	s.Metric = string(p[:ml])
-	p = p[ml:]
-	if len(p) != 16 {
-		return s, fmt.Errorf("bad sample payload length")
+	f.target, q = q[n:n+int(tl)], q[n+int(tl):]
+	ml, n := binary.Uvarint(q)
+	if n <= 0 || uint64(len(q)-n) != ml {
+		return f, fmt.Errorf("bad metric length")
 	}
-	s.At = time.Unix(0, int64(binary.LittleEndian.Uint64(p[:8]))).UTC()
-	s.Value = math.Float64frombits(binary.LittleEndian.Uint64(p[8:16]))
-	return s, nil
+	f.metric = q[n:]
+	f.at = int64(binary.LittleEndian.Uint64(p[len(p)-16:]))
+	f.value = math.Float64frombits(binary.LittleEndian.Uint64(p[len(p)-8:]))
+	return f, nil
+}
+
+// frameColumn returns the column a decoded sample frame belongs to. A
+// key seen before in this recovery is found by its frame bytes alone;
+// only a new one allocates its strings.
+func (state *shardState) frameColumn(f sampleFrame) *column {
+	if c := state.byFrame[string(f.keyBytes)]; c != nil {
+		return c
+	}
+	k := Key{Target: string(f.target), Metric: string(f.metric)}
+	c := state.samples[k]
+	if c == nil {
+		c = &column{}
+		state.samples[k] = c
+	}
+	state.byFrame[string(f.keyBytes)] = c
+	return c
 }
 
 // replaySegment applies one segment's frames to state, stopping at the
@@ -436,13 +482,12 @@ func replaySegment(path string, state *shardState) (walReplayStats, error) {
 		}
 		switch payload[0] {
 		case recSample:
-			smp, derr := decodeSample(payload[1:])
+			f, derr := decodeSample(payload[1:])
 			if derr != nil {
 				st.torn++
 				return st, nil
 			}
-			k := Key{Target: smp.Target, Metric: smp.Metric}
-			state.samples[k] = insertSample(state.samples[k], smp)
+			state.frameColumn(f).insert(f.at, f.value)
 			st.samples++
 		case recForecast:
 			var fs ForecastSnapshot
@@ -470,9 +515,11 @@ func loadSnapshot(path string, state *shardState) error {
 	if err := gob.NewDecoder(bufio.NewReader(f)).Decode(&p); err != nil {
 		return fmt.Errorf("metricstore: snapshot %s: %w", path, err)
 	}
-	if p.Samples != nil {
-		state.samples = p.Samples
+	cols, err := p.columns()
+	if err != nil {
+		return fmt.Errorf("metricstore: snapshot %s: %w", path, err)
 	}
+	state.samples = cols
 	if p.Forecasts != nil {
 		state.forecasts = p.Forecasts
 	}
