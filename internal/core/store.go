@@ -57,6 +57,10 @@ type StoredModel struct {
 // use. Models are re-learned only when stale — the paper's "We simply
 // re-train on the data unless … the time since the last use of the models
 // lengthens beyond a certain period."
+//
+// A *StoredModel handed out by Get or Peek is never written again: every
+// update (check-in, invalidation, advance) stores a fresh copy, so a
+// reader may keep and read the one it holds without the store's lock.
 type ModelStore struct {
 	mu     sync.RWMutex
 	policy StalePolicy
@@ -116,7 +120,9 @@ func (s *ModelStore) ReplaceResult(key string, res *Result) bool {
 	s.mu.Lock()
 	sm, ok := s.models[key]
 	if ok {
-		sm.Result = res
+		next := *sm
+		next.Result = res
+		s.models[key] = &next
 	}
 	o := s.obs
 	s.mu.Unlock()
@@ -184,6 +190,9 @@ func (s *ModelStore) CheckIn(key string, liveRMSE float64) (usable bool, err err
 	if !ok {
 		return false, fmt.Errorf("core: no stored model for %q", key)
 	}
+	next := *sm
+	sm = &next
+	s.models[key] = sm
 	sm.LiveRMSE = liveRMSE
 	if !sm.Invalidated && sm.SelectionRMSE > 0 && liveRMSE > sm.SelectionRMSE*s.policy.degrade() {
 		sm.Invalidated = true
@@ -216,7 +225,9 @@ func (s *ModelStore) Invalidate(key, reason string) bool {
 	if !ok || sm.Invalidated {
 		return false
 	}
-	sm.Invalidated = true
+	next := *sm
+	next.Invalidated = true
+	s.models[key] = &next
 	s.obs.Count("modelstore_invalidations_total", 1)
 	s.obs.Count("modelstore_evictions_total", 1, obs.L("reason", reason))
 	s.obs.Warn("model invalidated", "key", key, "reason", reason)
