@@ -52,8 +52,9 @@ func ME(actual, forecast []float64) float64 {
 }
 
 // MAPE returns the mean absolute percentage error, in percent.
-// Observations with actual == 0 are skipped; if every actual is zero the
-// result is NaN. Note MAPE explodes when actuals approach zero — the
+// Observations with actual == 0 are skipped, and so is a term that
+// overflows to ±Inf (a denormal actual); if no term is left the result
+// is NaN. A NaN forecast still makes the result NaN. Note MAPE explodes when actuals approach zero — the
 // paper's Table 2a logical-IOPS MAPEs in the thousands show exactly this,
 // which is why model selection uses RMSE.
 func MAPE(actual, forecast []float64) float64 {
@@ -64,7 +65,11 @@ func MAPE(actual, forecast []float64) float64 {
 		if actual[i] == 0 {
 			continue
 		}
-		s += math.Abs((actual[i] - forecast[i]) / actual[i])
+		ape := math.Abs((actual[i] - forecast[i]) / actual[i])
+		if math.IsInf(ape, 0) {
+			continue
+		}
+		s += ape
 		n++
 	}
 	if n == 0 {

@@ -54,6 +54,26 @@ func TestMAPESkipsZeros(t *testing.T) {
 	}
 }
 
+func TestMAPESkipsOverflowingTerms(t *testing.T) {
+	// |(5e-324 − 1) / 5e-324| overflows to +Inf: the term is dropped,
+	// leaving the finite one.
+	a := []float64{5e-324, 10}
+	f := []float64{1, 11}
+	if got := MAPE(a, f); math.Abs(got-10) > 1e-12 {
+		t.Fatalf("MAPE = %v, want 10 (overflowing term skipped)", got)
+	}
+	if got := MAPA(a, f); math.Abs(got-90) > 1e-12 {
+		t.Fatalf("MAPA = %v, want 90", got)
+	}
+	if !math.IsNaN(MAPE([]float64{5e-324}, []float64{1})) {
+		t.Fatal("MAPE with only an overflowing term should be NaN")
+	}
+	// A NaN forecast is not an overflow: it still poisons the mean.
+	if !math.IsNaN(MAPE([]float64{10, 10}, []float64{math.NaN(), 10})) {
+		t.Fatal("MAPE with a NaN forecast should be NaN")
+	}
+}
+
 func TestMAPA(t *testing.T) {
 	a := []float64{100, 200}
 	f := []float64{110, 180}

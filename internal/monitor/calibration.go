@@ -2,8 +2,6 @@ package monitor
 
 import (
 	"math"
-	"sort"
-	"sync"
 	"time"
 
 	"repro/internal/obs"
@@ -61,6 +59,31 @@ type calWindow struct {
 	bandScored   int64
 	coveredTotal int64
 	lastAt       time.Time
+}
+
+func newCalWindow(cfg CalibrationConfig) *calWindow {
+	return &calWindow{points: make([]calPoint, 0, cfg.window())}
+}
+
+// observe scores one matched observation into the ring.
+func (w *calWindow) observe(p obsPoint) {
+	cp := calPoint{
+		resid:     p.actual - p.mean,
+		absActual: math.Abs(p.actual),
+		pit:       math.NaN(),
+		width:     math.NaN(),
+	}
+	if isFinite(p.se) && p.se > 0 {
+		cp.pit = stats.NormalCDF((p.actual - p.mean) / p.se)
+	}
+	if p.hasBand {
+		cp.hasBand = true
+		cp.width = p.upper - p.lower
+		cp.covered = p.actual >= p.lower && p.actual <= p.upper
+	}
+	w.family = p.family
+	w.level = p.level
+	w.push(cp, p.at)
 }
 
 func (w *calWindow) push(p calPoint, at time.Time) {
@@ -145,126 +168,45 @@ type CalibrationStatus struct {
 	LastAt time.Time `json:"last_at"`
 }
 
-// Calibrator keeps an online interval-calibration window per monitored
-// key, scoring each arriving actual against the forecast step it was
-// matched to. Safe for concurrent use.
-type Calibrator struct {
-	mu   sync.Mutex
-	cfg  CalibrationConfig
-	wins map[string]*calWindow
-	obs  *obs.Observer
-}
-
-// NewCalibrator builds a calibrator with cfg. o receives the
-// calibration gauges; nil disables emission.
-func NewCalibrator(cfg CalibrationConfig, o *obs.Observer) *Calibrator {
-	return &Calibrator{
-		cfg:  cfg,
-		wins: make(map[string]*calWindow),
-		obs:  o,
-	}
-}
-
-// Observe scores one matched observation and refreshes the key's
-// calibration gauges.
-func (c *Calibrator) Observe(p obsPoint) {
-	if c == nil {
-		return
-	}
-	cp := calPoint{
-		resid:     p.actual - p.mean,
-		absActual: math.Abs(p.actual),
-		pit:       math.NaN(),
-		width:     math.NaN(),
-	}
-	if isFinite(p.se) && p.se > 0 {
-		cp.pit = stats.NormalCDF((p.actual - p.mean) / p.se)
-	}
-	if p.hasBand {
-		cp.hasBand = true
-		cp.width = p.upper - p.lower
-		cp.covered = p.actual >= p.lower && p.actual <= p.upper
-	}
-
-	c.mu.Lock()
-	w := c.wins[p.key]
-	if w == nil {
-		w = &calWindow{points: make([]calPoint, 0, c.cfg.window())}
-		c.wins[p.key] = w
-	}
-	w.family = p.family
-	w.level = p.level
-	w.push(cp, p.at)
-	st := c.statusLocked(p.key, w)
-	c.mu.Unlock()
-
-	kl := []obs.Label{obs.L("key", p.key)}
+// publishCalibration refreshes a key's calibration gauges from its
+// snapshot; statistics not yet computable are left unset.
+func publishCalibration(o *obs.Observer, st CalibrationStatus) {
+	kl := []obs.Label{obs.L("key", st.Key)}
 	if !math.IsNaN(st.Coverage) {
-		c.obs.SetGauge("forecast_interval_coverage_ratio", st.Coverage, kl...)
+		o.SetGauge("forecast_interval_coverage_ratio", st.Coverage, kl...)
 	}
 	if !math.IsNaN(st.MeanWidth) {
-		c.obs.SetGauge("forecast_interval_width_mean", st.MeanWidth, kl...)
+		o.SetGauge("forecast_interval_width_mean", st.MeanWidth, kl...)
 	}
 	if !math.IsNaN(st.Sharpness) {
-		c.obs.SetGauge("forecast_sharpness_ratio", st.Sharpness, kl...)
+		o.SetGauge("forecast_sharpness_ratio", st.Sharpness, kl...)
 	}
 	if !math.IsNaN(st.PITMean) {
-		c.obs.SetGauge("forecast_pit_mean", st.PITMean, kl...)
+		o.SetGauge("forecast_pit_mean", st.PITMean, kl...)
 	}
-	c.obs.SetGauge("forecast_residual_bias", st.Bias, kl...)
+	o.SetGauge("forecast_residual_bias", st.Bias, kl...)
 	if !math.IsNaN(st.ACF1) {
-		c.obs.SetGauge("forecast_residual_acf1", st.ACF1, kl...)
+		o.SetGauge("forecast_residual_acf1", st.ACF1, kl...)
 	}
 	if !math.IsNaN(st.LjungBoxP) {
-		c.obs.SetGauge("forecast_residual_ljung_box_p", st.LjungBoxP, kl...)
+		o.SetGauge("forecast_residual_ljung_box_p", st.LjungBoxP, kl...)
 	}
 }
 
-// Status returns the calibration snapshot for key (raw: NaN where a
-// statistic is not yet computable), ok=false when the key has never
-// been scored.
-func (c *Calibrator) Status(key string) (CalibrationStatus, bool) {
-	if c == nil {
-		return CalibrationStatus{}, false
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	w := c.wins[key]
-	if w == nil {
-		return CalibrationStatus{}, false
-	}
-	return c.statusLocked(key, w), true
-}
-
-// Keys lists the scored keys, sorted.
-func (c *Calibrator) Keys() []string {
-	if c == nil {
-		return nil
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	out := make([]string, 0, len(c.wins))
-	for k := range c.wins {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
-}
-
-// statusLocked assembles the snapshot for one window. Statistics that
-// need more points than the ring holds come back NaN; the JSON layer
+// status assembles the ring's snapshot for key. Statistics that need
+// more points than the ring holds come back NaN; the JSON layer
 // sanitises them.
-func (c *Calibrator) statusLocked(key string, w *calWindow) CalibrationStatus {
+func (w *calWindow) status(key string, cfg CalibrationConfig) CalibrationStatus {
 	st := CalibrationStatus{
 		Key: key, Family: w.family, NominalLevel: w.level,
-		Window: c.cfg.window(), Points: w.count, ScoredTotal: w.scored,
+		Window: cfg.window(), Points: w.count, ScoredTotal: w.scored,
 		Coverage: math.NaN(), LifetimeCoverage: math.NaN(),
 		MeanWidth: math.NaN(), Sharpness: math.NaN(), PITMean: math.NaN(),
 		ACF1: math.NaN(), ACF24: math.NaN(),
 		LjungBoxStat: math.NaN(), LjungBoxP: math.NaN(),
 		Health: math.NaN(), LastAt: w.lastAt,
 	}
-	bins := c.cfg.pitBins()
+	bins := cfg.pitBins()
 	st.PITHist = make([]int, bins)
 
 	var residSum, widthSum, absSum, pitSum float64

@@ -19,10 +19,10 @@ func gnoise() func() float64 {
 
 // calObs builds a scored observation with a symmetric 95% band around
 // the mean: lower/upper = mean ± 1.96·se.
-func calObs(key string, i int, actual, mean, se float64) obsPoint {
+func calObs(i int, actual, mean, se float64) obsPoint {
 	t0 := time.Date(2026, 1, 1, 0, 0, 0, 0, time.UTC)
 	return obsPoint{
-		key: key, family: "arima", at: t0.Add(time.Duration(i) * time.Hour),
+		family: "arima", at: t0.Add(time.Duration(i) * time.Hour),
 		actual: actual, mean: mean, se: se,
 		lower: mean - 1.96*se, upper: mean + 1.96*se,
 		level: 0.95, hasBand: true,
@@ -31,19 +31,18 @@ func calObs(key string, i int, actual, mean, se float64) obsPoint {
 
 func TestCalibratorCoverageAndWidth(t *testing.T) {
 	o := obs.New(obs.Config{Metrics: true})
-	c := NewCalibrator(CalibrationConfig{Window: 100}, o)
+	cfg := CalibrationConfig{Window: 100}
+	c := newCalWindow(cfg)
 	// 80 actuals inside the band, 20 outside → coverage 0.80 exactly.
 	for i := 0; i < 100; i++ {
 		actual := 50.0
 		if i%5 == 0 {
 			actual = 80 // far outside mean 50 ± 1.96·4
 		}
-		c.Observe(calObs("db1/cpu", i, actual, 50, 4))
+		c.observe(calObs(i, actual, 50, 4))
 	}
-	st, ok := c.Status("db1/cpu")
-	if !ok {
-		t.Fatal("no status for scored key")
-	}
+	st := c.status("db1/cpu", cfg)
+	publishCalibration(o, st)
 	if st.Coverage != 0.80 {
 		t.Fatalf("coverage = %v, want 0.80", st.Coverage)
 	}
@@ -66,14 +65,15 @@ func TestCalibratorCoverageAndWidth(t *testing.T) {
 }
 
 func TestCalibratorPITUniformOnWellSpecified(t *testing.T) {
-	c := NewCalibrator(CalibrationConfig{Window: 500, PITBins: 10}, nil)
+	cfg := CalibrationConfig{Window: 500, PITBins: 10}
+	c := newCalWindow(cfg)
 	// Residuals drawn (deterministically) from exactly the forecast
 	// distribution N(0, se²) → PIT values uniform on (0,1).
 	se, g := 5.0, gnoise()
 	for i := 0; i < 500; i++ {
-		c.Observe(calObs("db1/cpu", i, 100+se*g(), 100, se))
+		c.observe(calObs(i, 100+se*g(), 100, se))
 	}
-	st, _ := c.Status("db1/cpu")
+	st := c.status("db1/cpu", cfg)
 	if math.Abs(st.PITMean-0.5) > 0.02 {
 		t.Fatalf("PIT mean = %v, want ~0.5", st.PITMean)
 	}
@@ -98,14 +98,15 @@ func TestCalibratorPITUniformOnWellSpecified(t *testing.T) {
 }
 
 func TestCalibratorFlagsAutocorrelatedResiduals(t *testing.T) {
-	c := NewCalibrator(CalibrationConfig{Window: 300}, nil)
+	cfg := CalibrationConfig{Window: 300}
+	c := newCalWindow(cfg)
 	// AR(1) residuals with φ=0.8: strong structure the champion missed.
 	r, g := 0.0, gnoise()
 	for i := 0; i < 300; i++ {
 		r = 0.8*r + g()
-		c.Observe(calObs("db1/cpu", i, 100+r, 100, 1))
+		c.observe(calObs(i, 100+r, 100, 1))
 	}
-	st, _ := c.Status("db1/cpu")
+	st := c.status("db1/cpu", cfg)
 	if st.ACF1 < 0.5 {
 		t.Fatalf("ACF1 = %v on AR(1) φ=0.8 residuals, want > 0.5", st.ACF1)
 	}
@@ -115,16 +116,17 @@ func TestCalibratorFlagsAutocorrelatedResiduals(t *testing.T) {
 }
 
 func TestCalibratorBiasAndRollingWindow(t *testing.T) {
-	c := NewCalibrator(CalibrationConfig{Window: 10}, nil)
+	cfg := CalibrationConfig{Window: 10}
+	c := newCalWindow(cfg)
 	// 20 points: first 10 with residual −5, last 10 with residual +3.
 	// A window of 10 must only see the last 10.
 	for i := 0; i < 10; i++ {
-		c.Observe(calObs("k", i, 95, 100, 2))
+		c.observe(calObs(i, 95, 100, 2))
 	}
 	for i := 10; i < 20; i++ {
-		c.Observe(calObs("k", i, 103, 100, 2))
+		c.observe(calObs(i, 103, 100, 2))
 	}
-	st, _ := c.Status("k")
+	st := c.status("k", cfg)
 	if st.Points != 10 || st.Window != 10 {
 		t.Fatalf("points/window = %d/%d, want 10/10", st.Points, st.Window)
 	}
@@ -163,9 +165,10 @@ func TestCalWindowOrderedReconstruction(t *testing.T) {
 }
 
 func TestCalibratorNoBandNoSE(t *testing.T) {
-	c := NewCalibrator(CalibrationConfig{}, nil)
-	c.Observe(obsPoint{key: "k", family: "ets", at: time.Now(), actual: 10, mean: 12, se: math.NaN()})
-	st, _ := c.Status("k")
+	cfg := CalibrationConfig{}
+	c := newCalWindow(cfg)
+	c.observe(obsPoint{family: "ets", at: time.Now(), actual: 10, mean: 12, se: math.NaN()})
+	st := c.status("k", cfg)
 	if !math.IsNaN(st.Coverage) || !math.IsNaN(st.MeanWidth) || !math.IsNaN(st.PITMean) {
 		t.Fatalf("bandless observation produced coverage/width/PIT: %+v", st)
 	}

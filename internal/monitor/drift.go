@@ -2,8 +2,6 @@ package monitor
 
 import (
 	"math"
-	"sort"
-	"sync"
 	"time"
 
 	"repro/internal/obs"
@@ -80,7 +78,40 @@ type phState struct {
 	alarms      int64
 	lastAlarmAt time.Time
 	lastStat    float64
-	lastAt      time.Time
+}
+
+// observe feeds one finite standardized residual at time `at` and
+// reports whether the accumulated evidence crossed the alarm threshold.
+// An alarm resets the accumulator so one shift raises one alarm, not
+// one per subsequent hour.
+func (s *phState) observe(z float64, at time.Time, cfg DriftConfig) DriftVerdict {
+	s.n++
+	s.mean += (z - s.mean) / float64(s.n)
+	delta := cfg.delta()
+	s.cumUp += z - s.mean - delta
+	if s.cumUp < s.minUp {
+		s.minUp = s.cumUp
+	}
+	s.cumDown += z - s.mean + delta
+	if s.cumDown > s.maxDown {
+		s.maxDown = s.cumDown
+	}
+	stat := math.Max(s.cumUp-s.minUp, s.maxDown-s.cumDown)
+	v := DriftVerdict{Stat: stat}
+	if s.hold > 0 {
+		s.hold--
+		v.Active = true
+	}
+	if s.n >= cfg.minPoints() && stat > cfg.lambda() {
+		v.Alarm = true
+		v.Active = true
+		s.alarms++
+		s.lastAlarmAt = at
+		s.hold = cfg.holdTicks()
+		s.reset()
+	}
+	s.lastStat = stat
+	return v
 }
 
 // reset clears the accumulator (after an alarm or a refit) while
@@ -119,134 +150,31 @@ type DriftStatus struct {
 	LastAlarmAt time.Time `json:"last_alarm_at"`
 }
 
-// DriftDetector runs one Page–Hinkley accumulator per monitored key
-// over standardized forecast residuals. Safe for concurrent use.
-type DriftDetector struct {
-	mu     sync.Mutex
-	cfg    DriftConfig
-	states map[string]*phState
-	obs    *obs.Observer
-}
-
-// NewDriftDetector builds a detector with cfg. o receives the drift
-// gauges and alarm counter; nil disables emission.
-func NewDriftDetector(cfg DriftConfig, o *obs.Observer) *DriftDetector {
-	return &DriftDetector{
-		cfg:    cfg,
-		states: make(map[string]*phState),
-		obs:    o,
-	}
-}
-
-// Observe feeds one standardized residual for key at time `at` and
-// reports whether the accumulated evidence crossed the alarm
-// threshold. An alarm resets the accumulator so one shift raises one
-// alarm, not one per subsequent hour.
-func (d *DriftDetector) Observe(key string, at time.Time, z float64) DriftVerdict {
-	if d == nil || !isFinite(z) {
-		return DriftVerdict{}
-	}
-	d.mu.Lock()
-	s := d.states[key]
-	if s == nil {
-		s = &phState{}
-		d.states[key] = s
-	}
-	s.n++
-	s.mean += (z - s.mean) / float64(s.n)
-	delta := d.cfg.delta()
-	s.cumUp += z - s.mean - delta
-	if s.cumUp < s.minUp {
-		s.minUp = s.cumUp
-	}
-	s.cumDown += z - s.mean + delta
-	if s.cumDown > s.maxDown {
-		s.maxDown = s.cumDown
-	}
-	stat := math.Max(s.cumUp-s.minUp, s.maxDown-s.cumDown)
-	v := DriftVerdict{Stat: stat}
-	if s.hold > 0 {
-		s.hold--
-		v.Active = true
-	}
-	if s.n >= d.cfg.minPoints() && stat > d.cfg.lambda() {
-		v.Alarm = true
-		v.Active = true
-		s.alarms++
-		s.lastAlarmAt = at
-		s.hold = d.cfg.holdTicks()
-		s.reset()
-	}
-	s.lastStat = stat
-	s.lastAt = at
-	d.mu.Unlock()
-
-	d.obs.SetGauge("forecast_drift_stat", stat, obs.L("key", key))
+// publishDrift exports one observation's drift gauges and, on an
+// alarm, counts and logs it.
+func publishDrift(o *obs.Observer, key string, at time.Time, v DriftVerdict, cfg DriftConfig) {
+	o.SetGauge("forecast_drift_stat", v.Stat, obs.L("key", key))
 	active := 0.0
 	if v.Active {
 		active = 1
 	}
-	d.obs.SetGauge("forecast_drift_active", active, obs.L("key", key))
+	o.SetGauge("forecast_drift_active", active, obs.L("key", key))
 	if v.Alarm {
-		d.obs.Count("monitor_drift_alarms_total", 1, obs.L("key", key))
-		d.obs.Warn("forecast drift detected", "key", key,
-			"page_hinkley", stat, "lambda", d.cfg.lambda(), "at", at.Format(time.RFC3339))
+		o.Count("monitor_drift_alarms_total", 1, obs.L("key", key))
+		o.Warn("forecast drift detected", "key", key,
+			"page_hinkley", v.Stat, "lambda", cfg.lambda(), "at", at.Format(time.RFC3339))
 	}
-	return v
 }
 
-// Reset clears the accumulator for key — called after a refit so the
-// new champion starts from a fresh baseline. The hold window and alarm
-// history survive, keeping the in-flight drift alert visible.
-func (d *DriftDetector) Reset(key string) {
-	if d == nil {
-		return
-	}
-	d.mu.Lock()
-	if s := d.states[key]; s != nil {
-		s.reset()
-	}
-	d.mu.Unlock()
-}
-
-// Status returns the drift snapshot for key, ok=false when the key has
-// never been observed.
-func (d *DriftDetector) Status(key string) (DriftStatus, bool) {
-	if d == nil {
-		return DriftStatus{}, false
-	}
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	s := d.states[key]
-	if s == nil {
-		return DriftStatus{}, false
-	}
-	return d.statusLocked(key, s), true
-}
-
-// All returns every key's drift snapshot, sorted by key.
-func (d *DriftDetector) All() []DriftStatus {
-	if d == nil {
-		return nil
-	}
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	out := make([]DriftStatus, 0, len(d.states))
-	for k, s := range d.states {
-		out = append(out, d.statusLocked(k, s))
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Key < out[j].Key })
-	return out
-}
-
-func (d *DriftDetector) statusLocked(key string, s *phState) DriftStatus {
+// status is the state's snapshot for key.
+func (s *phState) status(key string, cfg DriftConfig) DriftStatus {
 	state := "watching"
 	if s.hold > 0 {
 		state = "drifting"
 	}
 	return DriftStatus{
 		Key: key, State: state,
-		Stat: s.lastStat, Lambda: d.cfg.lambda(),
+		Stat: s.lastStat, Lambda: cfg.lambda(),
 		Points: s.n, Alarms: s.alarms, LastAlarmAt: s.lastAlarmAt,
 	}
 }

@@ -1,10 +1,12 @@
 package monitor
 
 import (
+	"context"
 	"math"
 	"testing"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/obs"
 	"repro/internal/stats"
 )
@@ -21,16 +23,19 @@ func noise(i int) float64 {
 
 func TestDriftDetectorSilentOnStationaryNoise(t *testing.T) {
 	o := obs.New(obs.Config{Metrics: true})
-	d := NewDriftDetector(DriftConfig{}, o)
+	var cfg DriftConfig
+	d := &phState{}
 	t0 := time.Date(2026, 1, 1, 0, 0, 0, 0, time.UTC)
 	for i := 0; i < 1000; i++ {
-		v := d.Observe("db1/cpu", t0.Add(time.Duration(i)*time.Hour), noise(i))
+		at := t0.Add(time.Duration(i) * time.Hour)
+		v := d.observe(noise(i), at, cfg)
+		publishDrift(o, "db1/cpu", at, v, cfg)
 		if v.Alarm || v.Active {
 			t.Fatalf("alarm on stationary noise at step %d (stat %.2f)", i, v.Stat)
 		}
 	}
-	st, ok := d.Status("db1/cpu")
-	if !ok || st.Alarms != 0 || st.State != "watching" {
+	st := d.status("db1/cpu", cfg)
+	if st.Alarms != 0 || st.State != "watching" {
 		t.Fatalf("status = %+v, want watching with 0 alarms", st)
 	}
 	if n := o.Registry().CounterValue("monitor_drift_alarms_total"); n != 0 {
@@ -40,11 +45,11 @@ func TestDriftDetectorSilentOnStationaryNoise(t *testing.T) {
 
 func TestDriftDetectorAlarmsOnMeanShift(t *testing.T) {
 	for _, dir := range []float64{+1, -1} {
-		d := NewDriftDetector(DriftConfig{}, nil)
+		var cfg DriftConfig
+		d := &phState{}
 		t0 := time.Date(2026, 1, 1, 0, 0, 0, 0, time.UTC)
-		key := "db1/cpu"
 		for i := 0; i < 48; i++ {
-			if v := d.Observe(key, t0.Add(time.Duration(i)*time.Hour), noise(i)); v.Alarm {
+			if v := d.observe(noise(i), t0.Add(time.Duration(i)*time.Hour), cfg); v.Alarm {
 				t.Fatalf("dir %+.0f: premature alarm at warm-up step %d", dir, i)
 			}
 		}
@@ -52,7 +57,7 @@ func TestDriftDetectorAlarmsOnMeanShift(t *testing.T) {
 		// few hours: per-step evidence ≈ 4−δ, λ=12 → 4–5 steps.
 		alarmAt := -1
 		for i := 0; i < 12; i++ {
-			v := d.Observe(key, t0.Add(time.Duration(48+i)*time.Hour), dir*4+noise(48+i))
+			v := d.observe(dir*4+noise(48+i), t0.Add(time.Duration(48+i)*time.Hour), cfg)
 			if v.Alarm {
 				alarmAt = i
 				break
@@ -64,7 +69,7 @@ func TestDriftDetectorAlarmsOnMeanShift(t *testing.T) {
 		if alarmAt > 8 {
 			t.Errorf("dir %+.0f: alarm took %d shifted hours, want <= 8", dir, alarmAt)
 		}
-		st, _ := d.Status(key)
+		st := d.status("db1/cpu", cfg)
 		if st.Alarms != 1 || st.State != "drifting" || st.LastAlarmAt.IsZero() {
 			t.Fatalf("dir %+.0f: status after alarm = %+v", dir, st)
 		}
@@ -72,30 +77,30 @@ func TestDriftDetectorAlarmsOnMeanShift(t *testing.T) {
 }
 
 func TestDriftDetectorHoldAndReset(t *testing.T) {
-	d := NewDriftDetector(DriftConfig{MinPoints: 3, Lambda: 5, HoldTicks: 3}, nil)
+	cfg := DriftConfig{MinPoints: 3, Lambda: 5, HoldTicks: 3}
+	d := &phState{}
 	t0 := time.Date(2026, 1, 1, 0, 0, 0, 0, time.UTC)
-	key := "db1/cpu"
 	at := func(i int) time.Time { return t0.Add(time.Duration(i) * time.Hour) }
 	// Quiet warm-up so the detector's running mean settles near zero;
 	// only then does a sustained 3-sigma offset register as a change.
 	for i := 0; i < 12; i++ {
-		d.Observe(key, at(i), noise(i))
+		d.observe(noise(i), at(i), cfg)
 	}
 	var alarmed bool
 	i := 12
 	for ; i < 32 && !alarmed; i++ {
-		alarmed = d.Observe(key, at(i), 3+noise(i)).Alarm
+		alarmed = d.observe(3+noise(i), at(i), cfg).Alarm
 	}
 	if !alarmed {
 		t.Fatal("sustained 3-sigma shift never alarmed")
 	}
 	// The alarm resets the accumulator (the refit path also calls
-	// Reset); the condition stays Active for HoldTicks observations so
+	// reset); the condition stays Active for HoldTicks observations so
 	// the alerter can promote pending → firing, then clears.
-	d.Reset(key)
+	d.reset()
 	held := 0
 	for j := 0; j < 6; j++ {
-		if d.Observe(key, at(i+j), noise(j)).Active {
+		if d.observe(noise(j), at(i+j), cfg).Active {
 			held++
 		} else {
 			break
@@ -104,20 +109,35 @@ func TestDriftDetectorHoldAndReset(t *testing.T) {
 	if held != 3 {
 		t.Fatalf("condition held for %d observations, want 3", held)
 	}
-	if st, _ := d.Status(key); st.State != "watching" {
+	if st := d.status("db1/cpu", cfg); st.State != "watching" {
 		t.Fatalf("state after hold drained = %q, want watching", st.State)
 	}
 }
 
+// TestDriftDetectorIgnoresNonFinite: a residual that is not finite in
+// SE units (a NaN or infinite actual) never reaches the Page–Hinkley
+// state, so no state is created and nothing alarms.
 func TestDriftDetectorIgnoresNonFinite(t *testing.T) {
-	d := NewDriftDetector(DriftConfig{}, nil)
+	const key = "db1/cpu"
 	t0 := time.Date(2026, 1, 1, 0, 0, 0, 0, time.UTC)
-	for i, z := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
-		if v := d.Observe("k", t0.Add(time.Duration(i)*time.Hour), z); v.Alarm || v.Stat != 0 {
-			t.Fatalf("non-finite residual %v produced verdict %+v", z, v)
-		}
+	o := obs.New(obs.Config{Metrics: true})
+	store := core.NewModelStore(core.StalePolicy{MaxAge: 30 * 24 * time.Hour})
+	store.Put(key, storedResultWithBand(t0, 100, 5, 5, 24))
+	mon, err := New(Config{Store: store, Obs: o})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if st, ok := d.Status("k"); ok && st.Points != 0 {
-		t.Fatalf("non-finite residuals were accumulated: %+v", st)
+	for i, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		mon.ObserveActual(context.Background(), key, t0.Add(time.Duration(i)*time.Hour), v)
+	}
+	rows := mon.Calibration(key)
+	if len(rows) != 1 || rows[0].ScoredTotal != 3 {
+		t.Fatalf("calibration rows = %+v, want the three observations scored", rows)
+	}
+	if rows[0].Drift != nil {
+		t.Fatalf("non-finite residuals were accumulated: %+v", *rows[0].Drift)
+	}
+	if n := o.Registry().CounterValue("monitor_drift_alarms_total"); n != 0 {
+		t.Fatalf("monitor_drift_alarms_total = %d, want 0", n)
 	}
 }

@@ -2,15 +2,14 @@ package monitor
 
 import (
 	"math"
-	"sort"
-	"sync"
 	"time"
 
-	"repro/internal/core"
+	"repro/internal/metrics"
 	"repro/internal/obs"
 )
 
-// accuracyWindow is the rolling residual ring for one monitored key.
+// accuracyWindow is the rolling residual ring for one monitored key's
+// current champion.
 type accuracyWindow struct {
 	family    string
 	actuals   []float64 // ring buffers, next points at the oldest slot
@@ -19,6 +18,10 @@ type accuracyWindow struct {
 	count     int
 	matched   int64 // lifetime matched observations
 	lastAt    time.Time
+}
+
+func newAccuracyWindow(family string, n int) *accuracyWindow {
+	return &accuracyWindow{family: family, actuals: make([]float64, 0, n), forecasts: make([]float64, 0, n)}
 }
 
 func (w *accuracyWindow) push(actual, forecast float64, at time.Time) {
@@ -37,38 +40,46 @@ func (w *accuracyWindow) push(actual, forecast float64, at time.Time) {
 	w.lastAt = at
 }
 
-// scores computes rolling RMSE, MAPE and MAPA over the ring.
-// Degenerate windows are handled defensively: non-finite residuals (a
-// NaN forecast step) and overflowing percentage terms (a denormal
-// actual) are excluded rather than poisoning the whole window, and
-// MAPA is clamped into [0, 100] so identical or near-zero actuals can
-// never report an accuracy above 100% or a negative one.
+// scores computes rolling RMSE, MAPE and MAPA over the ring's pairs
+// with a finite residual: a NaN forecast step is left out rather than
+// poisoning the window, and an empty set scores NaN. The metrics
+// package drops percentage terms that overflow (a denormal actual) and
+// keeps MAPA within [0, 100].
 func (w *accuracyWindow) scores() (rmse, mape, mapa float64) {
-	var ss, ps float64
-	sn, pn := 0, 0
-	for i := 0; i < w.count; i++ {
-		d := w.actuals[i] - w.forecasts[i]
-		if !isFinite(d) {
-			continue
-		}
-		ss += d * d
-		sn++
-		if w.actuals[i] != 0 {
-			if ape := math.Abs(d / w.actuals[i]); isFinite(ape) {
-				ps += ape
-				pn++
-			}
+	actual, forecast := w.actuals, w.forecasts
+	for i := range actual {
+		if !isFinite(actual[i] - forecast[i]) {
+			actual, forecast = finitePairs(actual, forecast)
+			break
 		}
 	}
-	rmse, mape, mapa = math.NaN(), math.NaN(), math.NaN()
-	if sn > 0 {
-		rmse = math.Sqrt(ss / float64(sn))
+	if len(actual) == 0 {
+		return math.NaN(), math.NaN(), math.NaN()
 	}
-	if pn > 0 {
-		mape = 100 * ps / float64(pn)
-		mapa = math.Min(100, math.Max(0, 100-mape))
+	return metrics.RMSE(actual, forecast), metrics.MAPE(actual, forecast), metrics.MAPA(actual, forecast)
+}
+
+// finitePairs copies the pairs whose residual is finite.
+func finitePairs(actual, forecast []float64) (a, f []float64) {
+	for i := range actual {
+		if isFinite(actual[i] - forecast[i]) {
+			a = append(a, actual[i])
+			f = append(f, forecast[i])
+		}
 	}
-	return rmse, mape, mapa
+	return a, f
+}
+
+// row is the window's /accuracy row before the store's selection RMSE
+// and the JSON clean-up are merged in.
+func (w *accuracyWindow) row(key string) AccuracyScore {
+	rmse, mape, mapa := w.scores()
+	return AccuracyScore{
+		Key: key, Family: w.family, Window: cap(w.actuals),
+		Points: w.count, MatchedTotal: w.matched,
+		RollingRMSE: rmse, RollingMAPE: mape, RollingMAPA: mapa,
+		LastAt: w.lastAt,
+	}
 }
 
 // isFinite reports whether v is neither NaN nor ±Inf.
@@ -98,7 +109,6 @@ type AccuracyScore struct {
 // and drift layers score. It is how core's per-step interval output
 // reaches the observe path.
 type obsPoint struct {
-	key    string
 	family string
 	at     time.Time
 	actual float64
@@ -125,7 +135,7 @@ func (p obsPoint) standardized() float64 {
 	return resid / scale
 }
 
-// verdict reports what one Observe call found, for the monitor's refit
+// verdict reports what one observation found, for the monitor's refit
 // decision.
 type verdict struct {
 	// matched is true when the actual aligned with a forecast step.
@@ -136,77 +146,37 @@ type verdict struct {
 	// usable is the store's verdict after the check-in (false once the
 	// model is invalidated or age-stale).
 	usable bool
+	// driftAlarm is true when this observation raised a drift alarm.
+	driftAlarm bool
 	// point carries the matched step's interval data for the
-	// calibration tracker and drift detector, valid when matched.
+	// calibration ring and drift detector, valid when matched.
 	point obsPoint
 }
 
-// Evaluator maintains rolling forecast accuracy per stored champion. As
-// actuals arrive it matches them against the champion's production
-// forecast, keeps a rolling RMSE/MAPE/MAPA window per (workload, metric,
-// model family), and checks the rolling RMSE into the ModelStore, whose
-// StalePolicy decides when accuracy has degraded far enough to
-// invalidate the champion.
-type Evaluator struct {
-	mu     sync.Mutex
-	store  *core.ModelStore
-	window int
-	// minPoints is how many matched points the ring needs before the
-	// rolling RMSE is trusted for degradation checks.
-	minPoints int
-	wins      map[string]*accuracyWindow
-	obs       *obs.Observer
-}
-
-// NewEvaluator builds an evaluator over store. window is the rolling
-// score length in observations (0 → 24, one hourly day); minPoints gates
-// degradation checks (0 → max(3, window/4)).
-func NewEvaluator(store *core.ModelStore, window, minPoints int, o *obs.Observer) *Evaluator {
-	if window <= 0 {
-		window = 24
-	}
-	if minPoints <= 0 {
-		minPoints = window / 4
-		if minPoints < 3 {
-			minPoints = 3
-		}
-	}
-	return &Evaluator{
-		store:     store,
-		window:    window,
-		minPoints: minPoints,
-		wins:      make(map[string]*accuracyWindow),
-		obs:       o,
-	}
-}
-
-// Observe matches one actual observation for key at time `at` against
-// the stored champion's forecast and updates the rolling scores. When
-// the window holds enough points the rolling RMSE is checked into the
-// ModelStore, which invalidates the champion on degradation.
-func (e *Evaluator) Observe(key string, at time.Time, actual float64) verdict {
-	sm, usable := e.store.Get(key)
+// match finds the stored champion's forecast step for an actual of key
+// at time `at`, counting the reason when there is none.
+func (m *Monitor) match(key string, at time.Time, actual float64) verdict {
+	sm, usable := m.store.Get(key)
 	if sm == nil {
-		e.obs.Count("monitor_actuals_unmatched_total", 1, obs.L("reason", "no_model"))
+		m.obs.Count("monitor_actuals_unmatched_total", 1, obs.L("reason", "no_model"))
 		return verdict{}
 	}
 	fc := sm.Result.Forecast
 	if fc == nil || len(fc.Mean) == 0 {
-		e.obs.Count("monitor_actuals_unmatched_total", 1, obs.L("reason", "no_forecast"))
+		m.obs.Count("monitor_actuals_unmatched_total", 1, obs.L("reason", "no_forecast"))
 		return verdict{usable: usable}
 	}
 	idx := int(at.Sub(fc.Start) / fc.Freq.Step())
 	if idx < 0 {
-		e.obs.Count("monitor_actuals_unmatched_total", 1, obs.L("reason", "before_horizon"))
+		m.obs.Count("monitor_actuals_unmatched_total", 1, obs.L("reason", "before_horizon"))
 		return verdict{usable: usable}
 	}
 	if idx >= len(fc.Mean) {
-		e.obs.Count("monitor_actuals_unmatched_total", 1, obs.L("reason", "beyond_horizon"))
+		m.obs.Count("monitor_actuals_unmatched_total", 1, obs.L("reason", "beyond_horizon"))
 		return verdict{beyondHorizon: true, usable: usable}
 	}
-	family := sm.Result.ChampionFamily()
 	point := obsPoint{
-		key: key, family: family, at: at,
+		family: sm.Result.ChampionFamily(), at: at,
 		actual: actual, mean: fc.Mean[idx],
 		se: math.NaN(), level: fc.Level,
 	}
@@ -217,81 +187,7 @@ func (e *Evaluator) Observe(key string, at time.Time, actual float64) verdict {
 		point.lower, point.upper = fc.Lower[idx], fc.Upper[idx]
 		point.hasBand = true
 	}
-
-	e.mu.Lock()
-	w := e.wins[key]
-	if w == nil || w.family != family {
-		w = &accuracyWindow{family: family, actuals: make([]float64, 0, e.window), forecasts: make([]float64, 0, e.window)}
-		e.wins[key] = w
-	}
-	w.push(actual, fc.Mean[idx], at)
-	rmse, mape, mapa := w.scores()
-	points := w.count
-	e.mu.Unlock()
-
-	kl := []obs.Label{obs.L("key", key), obs.L("family", family)}
-	e.obs.Count("monitor_actuals_total", 1)
-	e.obs.SetGauge("monitor_rolling_rmse", rmse, kl...)
-	if !math.IsNaN(mape) {
-		e.obs.SetGauge("monitor_rolling_mape", mape, kl...)
-		e.obs.SetGauge("monitor_rolling_mapa", mapa, kl...)
-	}
-	if points < e.minPoints {
-		return verdict{matched: true, usable: usable, point: point}
-	}
-	// The store's StalePolicy owns the degradation decision; it logs the
-	// ratio and emits modelstore_evictions_total when it invalidates.
-	stillUsable, err := e.store.CheckIn(key, rmse)
-	if err != nil {
-		return verdict{matched: true, usable: usable, point: point}
-	}
-	return verdict{matched: true, usable: stillUsable, point: point}
-}
-
-// Reset clears the rolling window for key — called after a refit so the
-// new champion is scored only against its own forecasts.
-func (e *Evaluator) Reset(key string) {
-	e.mu.Lock()
-	delete(e.wins, key)
-	e.mu.Unlock()
-}
-
-// Accuracy returns the rolling-score snapshot for every monitored key,
-// sorted by key — the /accuracy payload.
-func (e *Evaluator) Accuracy() []AccuracyScore {
-	e.mu.Lock()
-	keys := make([]string, 0, len(e.wins))
-	for k := range e.wins {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	out := make([]AccuracyScore, 0, len(keys))
-	for _, k := range keys {
-		w := e.wins[k]
-		rmse, mape, mapa := w.scores()
-		out = append(out, AccuracyScore{
-			Key: k, Family: w.family, Window: e.window,
-			Points: w.count, MatchedTotal: w.matched,
-			RollingRMSE: rmse, RollingMAPE: mape, RollingMAPA: mapa,
-			LastAt: w.lastAt,
-		})
-	}
-	e.mu.Unlock()
-	for i := range out {
-		sm, _ := e.store.Get(out[i].Key)
-		if sm != nil {
-			out[i].SelectionRMSE = sm.SelectionRMSE
-			out[i].Invalidated = sm.Invalidated
-			if sm.SelectionRMSE > 0 && isFinite(out[i].RollingRMSE) {
-				out[i].Ratio = math.Max(0, out[i].RollingRMSE/sm.SelectionRMSE)
-			}
-		}
-		// encoding/json rejects NaN; empty windows serialise as zero.
-		out[i].RollingRMSE = nanToZero(out[i].RollingRMSE)
-		out[i].RollingMAPE = nanToZero(out[i].RollingMAPE)
-		out[i].RollingMAPA = nanToZero(out[i].RollingMAPA)
-	}
-	return out
+	return verdict{matched: true, usable: usable, point: point}
 }
 
 // nanToZero maps non-finite values to zero — encoding/json rejects

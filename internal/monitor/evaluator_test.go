@@ -1,6 +1,7 @@
 package monitor
 
 import (
+	"context"
 	"encoding/json"
 	"math"
 	"testing"
@@ -25,11 +26,19 @@ func storedResult(t0 time.Time, v, selectionRMSE float64) *core.Result {
 	}
 }
 
-func TestAccuracyWindowRing(t *testing.T) {
-	w := &accuracyWindow{
-		actuals:   make([]float64, 0, 3),
-		forecasts: make([]float64, 0, 3),
+// evalMonitor builds a Monitor with no refit hook, for tests of the
+// accuracy path that drive Monitor.observe directly.
+func evalMonitor(t *testing.T, store *core.ModelStore, window, minPoints int, o *obs.Observer) *Monitor {
+	t.Helper()
+	mon, err := New(Config{Store: store, Window: window, MinPoints: minPoints, Obs: o})
+	if err != nil {
+		t.Fatal(err)
 	}
+	return mon
+}
+
+func TestAccuracyWindowRing(t *testing.T) {
+	w := newAccuracyWindow("ARIMA", 3)
 	t0 := time.Date(2026, 1, 1, 0, 0, 0, 0, time.UTC)
 	for i := 0; i < 3; i++ {
 		w.push(10, 10, t0.Add(time.Duration(i)*time.Hour))
@@ -66,9 +75,7 @@ func TestScoresDegenerateWindows(t *testing.T) {
 			w.push(p[0], p[1], t0.Add(time.Duration(i)*time.Hour))
 		}
 	}
-	newWin := func() *accuracyWindow {
-		return &accuracyWindow{actuals: make([]float64, 0, 8), forecasts: make([]float64, 0, 8)}
-	}
+	newWin := func() *accuracyWindow { return newAccuracyWindow("ARIMA", 8) }
 
 	// Identical actuals and forecasts: perfect accuracy, MAPA exactly
 	// 100 — never above.
@@ -103,6 +110,13 @@ func TestScoresDegenerateWindows(t *testing.T) {
 		t.Fatalf("denormal-actual window: mape=%v mapa=%v", mape, mapa)
 	}
 
+	// Nothing but NaN forecasts: no pair to score, so every score is NaN.
+	w = newWin()
+	push(w, [2]float64{10, math.NaN()})
+	if rmse, mape, mapa := w.scores(); !math.IsNaN(rmse) || !math.IsNaN(mape) || !math.IsNaN(mapa) {
+		t.Fatalf("all-NaN window: rmse=%v mape=%v mapa=%v", rmse, mape, mapa)
+	}
+
 	// Huge errors clamp MAPA at 0 rather than going negative.
 	w = newWin()
 	push(w, [2]float64{1, 1000})
@@ -118,12 +132,12 @@ func TestAccuracyJSONSafeOnDegenerateData(t *testing.T) {
 	t0 := time.Date(2026, 1, 1, 0, 0, 0, 0, time.UTC)
 	store := core.NewModelStore(core.StalePolicy{DegradeFactor: 1.5})
 	store.Put("db1/cpu", storedResult(t0, 100, 2))
-	ev := NewEvaluator(store, 6, 3, nil)
+	ev := evalMonitor(t, store, 6, 3, nil)
 	// Identical actuals equal to the forecast: nothing degenerate yet,
 	// then zeros (infinite percentage error) and an enormous outlier.
 	vals := []float64{100, 100, 0, 0, 1e300}
 	for i, v := range vals {
-		ev.Observe("db1/cpu", t0.Add(time.Duration(i)*time.Hour), v)
+		ev.observe("db1/cpu", t0.Add(time.Duration(i)*time.Hour), v)
 	}
 	rows := ev.Accuracy()
 	if len(rows) != 1 {
@@ -147,11 +161,11 @@ func TestEvaluatorDegradationTriggersInvalidation(t *testing.T) {
 	store := core.NewModelStore(core.StalePolicy{DegradeFactor: 1.5})
 	store.SetObserver(o)
 	store.Put("db1/cpu", storedResult(t0, 100, 2)) // degrade limit: rmse > 3
-	ev := NewEvaluator(store, 6, 3, o)
+	ev := evalMonitor(t, store, 6, 3, o)
 
 	// Three accurate actuals: rolling RMSE 0, champion stays usable.
 	for i := 0; i < 3; i++ {
-		v := ev.Observe("db1/cpu", t0.Add(time.Duration(i)*time.Hour), 100)
+		v := ev.observe("db1/cpu", t0.Add(time.Duration(i)*time.Hour), 100)
 		if !v.matched || !v.usable {
 			t.Fatalf("step %d: verdict = %+v, want matched and usable", i, v)
 		}
@@ -161,7 +175,7 @@ func TestEvaluatorDegradationTriggersInvalidation(t *testing.T) {
 	}
 
 	// One wild actual pushes rolling RMSE to sqrt(400/4) = 10 > 3.
-	v := ev.Observe("db1/cpu", t0.Add(3*time.Hour), 120)
+	v := ev.observe("db1/cpu", t0.Add(3*time.Hour), 120)
 	if !v.matched || v.usable {
 		t.Fatalf("degraded verdict = %+v, want matched and not usable", v)
 	}
@@ -190,16 +204,16 @@ func TestEvaluatorMinPointsGatesCheckIn(t *testing.T) {
 	t0 := time.Date(2026, 1, 1, 0, 0, 0, 0, time.UTC)
 	store := core.NewModelStore(core.StalePolicy{DegradeFactor: 1.5})
 	store.Put("db1/cpu", storedResult(t0, 100, 2))
-	ev := NewEvaluator(store, 6, 4, nil)
+	ev := evalMonitor(t, store, 6, 4, nil)
 	// Two terrible actuals — but below minPoints, so no check-in yet.
 	for i := 0; i < 2; i++ {
-		ev.Observe("db1/cpu", t0.Add(time.Duration(i)*time.Hour), 500)
+		ev.observe("db1/cpu", t0.Add(time.Duration(i)*time.Hour), 500)
 	}
 	if sm, _ := store.Get("db1/cpu"); sm.Invalidated {
 		t.Fatal("invalidated before minPoints matched observations")
 	}
 	for i := 2; i < 4; i++ {
-		ev.Observe("db1/cpu", t0.Add(time.Duration(i)*time.Hour), 500)
+		ev.observe("db1/cpu", t0.Add(time.Duration(i)*time.Hour), 500)
 	}
 	if sm, _ := store.Get("db1/cpu"); !sm.Invalidated {
 		t.Fatal("not invalidated once minPoints reached")
@@ -210,13 +224,13 @@ func TestEvaluatorUnmatchedReasons(t *testing.T) {
 	t0 := time.Date(2026, 1, 1, 0, 0, 0, 0, time.UTC)
 	o := obs.New(obs.Config{Metrics: true})
 	store := core.NewModelStore(core.StalePolicy{})
-	ev := NewEvaluator(store, 6, 3, o)
+	ev := evalMonitor(t, store, 6, 3, o)
 
 	reason := func(r string) int64 {
 		return o.Registry().Counter("monitor_actuals_unmatched_total", obs.L("reason", r)).Value()
 	}
 
-	if v := ev.Observe("ghost/cpu", t0, 50); v.matched {
+	if v := ev.observe("ghost/cpu", t0, 50); v.matched {
 		t.Fatal("matched a missing model")
 	}
 	if n := reason("no_model"); n != 1 {
@@ -224,18 +238,18 @@ func TestEvaluatorUnmatchedReasons(t *testing.T) {
 	}
 
 	store.Put("db1/cpu", &core.Result{TestScore: metrics.Score{RMSE: 2}})
-	ev.Observe("db1/cpu", t0, 50)
+	ev.observe("db1/cpu", t0, 50)
 	if n := reason("no_forecast"); n != 1 {
 		t.Fatalf("no_forecast = %d", n)
 	}
 
 	store.Put("db1/cpu", storedResult(t0, 100, 2))
-	ev.Observe("db1/cpu", t0.Add(-time.Hour), 50)
+	ev.observe("db1/cpu", t0.Add(-time.Hour), 50)
 	if n := reason("before_horizon"); n != 1 {
 		t.Fatalf("before_horizon = %d", n)
 	}
 
-	v := ev.Observe("db1/cpu", t0.Add(24*time.Hour), 50)
+	v := ev.observe("db1/cpu", t0.Add(24*time.Hour), 50)
 	if !v.beyondHorizon || v.matched {
 		t.Fatalf("beyond-horizon verdict = %+v", v)
 	}
@@ -244,17 +258,36 @@ func TestEvaluatorUnmatchedReasons(t *testing.T) {
 	}
 }
 
+// TestEvaluatorResetClearsWindow: a refit drops the accuracy window, so
+// the key leaves /accuracy until the new champion's first match, while
+// the calibration ring carries on across the refit.
 func TestEvaluatorResetClearsWindow(t *testing.T) {
+	const key = "db1/cpu"
 	t0 := time.Date(2026, 1, 1, 0, 0, 0, 0, time.UTC)
 	store := core.NewModelStore(core.StalePolicy{})
-	store.Put("db1/cpu", storedResult(t0, 100, 2))
-	ev := NewEvaluator(store, 6, 3, nil)
-	ev.Observe("db1/cpu", t0, 100)
-	if len(ev.Accuracy()) != 1 {
+	store.Put(key, storedResult(t0, 100, 2))
+	mon, err := New(Config{
+		Store: store, Window: 6, MinPoints: 3,
+		Refit: func(context.Context, string, bool) (*core.Result, error) {
+			return storedResult(t0, 100, 2), nil
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	mon.ObserveActual(context.Background(), key, t0, 100)
+	if len(mon.Accuracy()) != 1 {
 		t.Fatal("expected one tracked window")
 	}
-	ev.Reset("db1/cpu")
-	if got := ev.Accuracy(); len(got) != 0 {
+	mon.triggerRefit(context.Background(), key, "test")
+	if got := mon.Accuracy(); len(got) != 0 {
 		t.Fatalf("window survived reset: %+v", got)
+	}
+	if got := mon.Calibration(key); len(got) != 1 || got[0].ScoredTotal != 1 {
+		t.Fatalf("calibration ring did not survive the refit: %+v", got)
+	}
+	mon.ObserveActual(context.Background(), key, t0.Add(time.Hour), 100)
+	if got := mon.Accuracy(); len(got) != 1 || got[0].Points != 1 || got[0].MatchedTotal != 1 {
+		t.Fatalf("new champion's window = %+v, want one point", got)
 	}
 }

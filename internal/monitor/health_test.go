@@ -154,7 +154,7 @@ func TestStationarySeriesCalibratedAndSilent(t *testing.T) {
 
 	// The same story over the endpoint, both unfiltered and filtered.
 	rr := httptest.NewRecorder()
-	CalibrationHandler(mon).ServeHTTP(rr, httptest.NewRequest("GET", CalibrationPath+"?key="+key, nil))
+	mon.Handlers()[CalibrationPath].ServeHTTP(rr, httptest.NewRequest("GET", CalibrationPath+"?key="+key, nil))
 	var rows []CalibrationStatus
 	if err := json.Unmarshal(rr.Body.Bytes(), &rows); err != nil {
 		t.Fatalf("calibration payload not JSON: %v\n%s", err, rr.Body.String())

@@ -13,10 +13,10 @@ package monitor
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"math"
 	"net/http"
+	"sort"
 	"sync"
 	"time"
 
@@ -83,19 +83,41 @@ type Config struct {
 // watchdog. Safe for concurrent use.
 type Monitor struct {
 	store     *core.ModelStore
-	eval      *Evaluator
 	alerter   *Alerter
-	cal       *Calibrator
-	drift     *DriftDetector
 	refit     RefitFunc
 	advance   AdvanceFunc
 	coldEvery int
 	inventory func() []string
 	obs       *obs.Observer
+	// window is the rolling accuracy length in observations; minPoints
+	// how many matched points a window needs before its rolling RMSE is
+	// checked into the store.
+	window, minPoints int
+	cal               CalibrationConfig
+	drift             DriftConfig
 
-	mu       sync.Mutex
-	refits   map[string]RefitRecord
-	refitSeq map[string]int
+	// mu guards targets and every record in it. It is held only to read
+	// or change a record: never across a hook, a ModelStore call or an
+	// obs emission.
+	mu      sync.Mutex
+	targets map[string]*target
+}
+
+// target is everything the monitor knows about one key.
+type target struct {
+	// acc scores the current champion's forecasts; nil until the first
+	// match and again after each refit, so a new champion is scored
+	// only against its own forecasts.
+	acc *accuracyWindow
+	// cal survives refits on purpose: empirical coverage is a property
+	// of the interval stream across champion generations.
+	cal *calWindow
+	// ph is the Page–Hinkley state, created on the first finite
+	// standardized residual; a refit resets its accumulator.
+	ph        *phState
+	lastRefit *RefitRecord
+	// refitSeq numbers the key's refits for the cold-refit cadence.
+	refitSeq int
 }
 
 // New validates cfg and builds a Monitor.
@@ -109,23 +131,39 @@ func New(cfg Config) (*Monitor, error) {
 	} else if coldEvery < 0 {
 		coldEvery = 0 // never force a cold run
 	}
-	m := &Monitor{
+	window := cfg.Window
+	if window <= 0 {
+		window = 24
+	}
+	minPoints := cfg.MinPoints
+	if minPoints <= 0 {
+		minPoints = max(3, window/4)
+	}
+	return &Monitor{
 		store:     cfg.Store,
-		eval:      NewEvaluator(cfg.Store, cfg.Window, cfg.MinPoints, cfg.Obs),
 		alerter:   NewAlerter(cfg.Rules, cfg.PendingTicks, cfg.ResolveTicks, cfg.Obs),
-		cal:       NewCalibrator(cfg.Calibration, cfg.Obs),
 		refit:     cfg.Refit,
 		advance:   cfg.Advance,
 		coldEvery: coldEvery,
 		inventory: cfg.Inventory,
 		obs:       cfg.Obs,
-		refits:    make(map[string]RefitRecord),
-		refitSeq:  make(map[string]int),
+		window:    window,
+		minPoints: minPoints,
+		cal:       cfg.Calibration,
+		drift:     cfg.Drift,
+		targets:   make(map[string]*target),
+	}, nil
+}
+
+// targetLocked returns key's record, creating it on first use. The
+// caller holds m.mu.
+func (m *Monitor) targetLocked(key string) *target {
+	t := m.targets[key]
+	if t == nil {
+		t = &target{}
+		m.targets[key] = t
 	}
-	if !cfg.Drift.Disabled {
-		m.drift = NewDriftDetector(cfg.Drift, cfg.Obs)
-	}
-	return m, nil
+	return t
 }
 
 // ObserveActual feeds one fresh actual for key at time `at`: the value
@@ -138,20 +176,7 @@ func (m *Monitor) ObserveActual(ctx context.Context, key string, at time.Time, a
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	v := m.eval.Observe(key, at, actual)
-	var driftAlarm bool
-	if v.matched {
-		m.cal.Observe(v.point)
-		if m.drift != nil {
-			dv := m.drift.Observe(key, at, v.point.standardized())
-			driftAlarm = dv.Alarm
-			// The drift condition rides the same pending→firing→resolved
-			// machinery as capacity breaches, keyed under the synthetic
-			// "drift" metric so both can coexist on one target.
-			m.alerter.ObserveCondition(key, DriftCondition, at, dv.Active, dv.Stat, at)
-		}
-		m.publishHealth(key)
-	}
+	v := m.observe(key, at, actual)
 	switch {
 	case v.beyondHorizon:
 		// Horizon exhaustion does not mean the champion is wrong — only
@@ -168,7 +193,7 @@ func (m *Monitor) ObserveActual(ctx context.Context, key string, at time.Time, a
 			reason = "degraded"
 		}
 		m.triggerRefit(ctx, key, reason)
-	case driftAlarm:
+	case v.driftAlarm:
 		// Second refit trigger: the Page–Hinkley alarm invalidates the
 		// champion through the store (so the StalePolicy's bookkeeping
 		// sees the eviction) and refits immediately, typically hours
@@ -176,6 +201,74 @@ func (m *Monitor) ObserveActual(ctx context.Context, key string, at time.Time, a
 		m.store.Invalidate(key, "drift")
 		m.triggerRefit(ctx, key, "drift")
 	}
+}
+
+// observe matches one actual against key's stored champion and, when it
+// lands on a forecast step, scores it into key's record: the rolling
+// accuracy (checked into the store, whose StalePolicy decides
+// degradation), the calibration ring and the drift detector.
+func (m *Monitor) observe(key string, at time.Time, actual float64) verdict {
+	v := m.match(key, at, actual)
+	if !v.matched {
+		return v
+	}
+	p := v.point
+	z := p.standardized()
+	driftOn := !m.drift.Disabled
+
+	m.mu.Lock()
+	t := m.targetLocked(key)
+	if t.acc == nil || t.acc.family != p.family {
+		t.acc = newAccuracyWindow(p.family, m.window)
+	}
+	t.acc.push(p.actual, p.mean, p.at)
+	rmse, mape, mapa := t.acc.scores()
+	points := t.acc.count
+	if t.cal == nil {
+		t.cal = newCalWindow(m.cal)
+	}
+	t.cal.observe(p)
+	st := t.cal.status(key, m.cal)
+	var dv DriftVerdict
+	if driftOn && isFinite(z) {
+		if t.ph == nil {
+			t.ph = &phState{}
+		}
+		dv = t.ph.observe(z, at, m.drift)
+	}
+	drifting := t.ph != nil && t.ph.hold > 0
+	m.mu.Unlock()
+
+	kl := []obs.Label{obs.L("key", key), obs.L("family", p.family)}
+	m.obs.Count("monitor_actuals_total", 1)
+	m.obs.SetGauge("monitor_rolling_rmse", rmse, kl...)
+	if !math.IsNaN(mape) {
+		m.obs.SetGauge("monitor_rolling_mape", mape, kl...)
+		m.obs.SetGauge("monitor_rolling_mapa", mapa, kl...)
+	}
+	if points >= m.minPoints {
+		// The store's StalePolicy owns the degradation decision; it logs
+		// the ratio and emits modelstore_evictions_total when it
+		// invalidates.
+		if stillUsable, err := m.store.CheckIn(key, rmse); err == nil {
+			v.usable = stillUsable
+		}
+	}
+	publishCalibration(m.obs, st)
+	if driftOn {
+		if isFinite(z) {
+			publishDrift(m.obs, key, at, dv, m.drift)
+		}
+		// The drift condition rides the same pending→firing→resolved
+		// machinery as capacity breaches, keyed under the synthetic
+		// "drift" metric so both can coexist on one target.
+		m.alerter.ObserveCondition(key, DriftCondition, at, dv.Active, dv.Stat, at)
+	}
+	if h := m.health(key, st, drifting); isFinite(h) {
+		m.obs.SetGauge("forecast_health_ratio", h, obs.L("key", key))
+	}
+	v.driftAlarm = dv.Alarm
+	return v
 }
 
 // ObserveCondition drives an externally evaluated condition — e.g. an
@@ -204,7 +297,15 @@ func (m *Monitor) triggerRefit(ctx context.Context, key, reason string) {
 		m.obs.Debug("refit skipped: shutting down", "key", key, "reason", reason)
 		return
 	}
-	warm := m.nextRefitWarm(key)
+	m.mu.Lock()
+	t := m.targetLocked(key)
+	t.refitSeq++
+	// Every coldEvery-th refit is forced cold as the correctness escape
+	// hatch for warm starts: score-guided grid shrinking never sees a
+	// candidate the previous run skipped, so a periodic full grid
+	// re-opens the search space.
+	warm := m.coldEvery <= 0 || t.refitSeq%m.coldEvery != 0
+	m.mu.Unlock()
 	mode := "cold"
 	if warm {
 		mode = "warm"
@@ -239,41 +340,30 @@ func (m *Monitor) triggerRefit(ctx context.Context, key, reason string) {
 	if err != nil {
 		sp.Fail(err)
 		rec.Error = err.Error()
-		m.recordRefit(rec)
+		m.mu.Lock()
+		t.lastRefit = &rec
+		m.mu.Unlock()
 		m.obs.Count("monitor_refit_errors_total", 1, obs.L("key", key))
 		m.obs.Error("refit failed", "key", key, "reason", reason, "err", err)
 		return
 	}
 	rec.Champion = res.Champion.Label
-	m.recordRefit(rec)
 	m.store.Put(key, res)
-	m.eval.Reset(key)
-	// The drift accumulator restarts from the new champion's baseline;
-	// the calibration window survives on purpose — empirical coverage
-	// is a property of the interval stream across champion generations.
-	m.drift.Reset(key)
+	// The new champion is scored afresh and the drift accumulator
+	// restarts from its baseline; the calibration ring carries on.
+	m.mu.Lock()
+	t.lastRefit = &rec
+	t.acc = nil
+	if t.ph != nil {
+		t.ph.reset()
+	}
+	m.mu.Unlock()
 	sp.Set("champion", res.Champion.Label)
 	m.obs.Count("monitor_refits_total", 1, obs.L("reason", reason), obs.L("refit_mode", mode))
 	m.obs.ObserveDurationTraced("monitor_refit_seconds", time.Since(began), traceID, obs.L("refit_mode", mode))
 	m.obs.Info("champion refitted", "key", key, "reason", reason, "mode", mode,
 		"champion", res.Champion.Label, "rmse", res.TestScore.RMSE,
 		"dur", time.Since(began).Round(time.Millisecond), "trace", traceID)
-}
-
-// nextRefitWarm advances the per-key refit sequence and decides whether
-// this refit may warm-start: every coldEvery-th refit is forced cold as
-// the correctness escape hatch (score-guided grid shrinking never sees a
-// candidate the previous run skipped, so a periodic full grid re-opens
-// the search space).
-func (m *Monitor) nextRefitWarm(key string) bool {
-	m.mu.Lock()
-	m.refitSeq[key]++
-	seq := m.refitSeq[key]
-	m.mu.Unlock()
-	if m.coldEvery > 0 && seq%m.coldEvery == 0 {
-		return false
-	}
-	return true
 }
 
 // tryAdvance rolls the stored champion forward for a horizon-exhausted
@@ -305,7 +395,9 @@ func (m *Monitor) tryAdvance(ctx context.Context, key string, at time.Time) bool
 		At: m.store.Now(), DurationMS: float64(time.Since(began)) / float64(time.Millisecond),
 		Champion: res.Champion.Label,
 	}
-	m.recordRefit(rec)
+	m.mu.Lock()
+	m.targetLocked(key).lastRefit = &rec
+	m.mu.Unlock()
 	// The champion did not change: the rolling accuracy window and the
 	// drift accumulator keep scoring the same model across the roll.
 	sp.Set("champion", res.Champion.Label)
@@ -317,20 +409,14 @@ func (m *Monitor) tryAdvance(ctx context.Context, key string, at time.Time) bool
 	return true
 }
 
-// recordRefit remembers the latest refit outcome per key for the
-// targets endpoint.
-func (m *Monitor) recordRefit(rec RefitRecord) {
-	m.mu.Lock()
-	m.refits[rec.Key] = rec
-	m.mu.Unlock()
-}
-
 // LastRefit returns the most recent refit record for key.
 func (m *Monitor) LastRefit(key string) (RefitRecord, bool) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	rec, ok := m.refits[key]
-	return rec, ok
+	if t := m.targets[key]; t != nil && t.lastRefit != nil {
+		return *t.lastRefit, true
+	}
+	return RefitRecord{}, false
 }
 
 // EvaluateAlerts walks every stored champion's forecast at time now and
@@ -345,8 +431,35 @@ func (m *Monitor) EvaluateAlerts(now time.Time) {
 	}
 }
 
-// Accuracy returns the rolling-score snapshot (the /accuracy payload).
-func (m *Monitor) Accuracy() []AccuracyScore { return m.eval.Accuracy() }
+// Accuracy returns the rolling-score snapshot for every key whose
+// current champion has been scored, sorted by key — the /accuracy
+// payload.
+func (m *Monitor) Accuracy() []AccuracyScore {
+	m.mu.Lock()
+	out := make([]AccuracyScore, 0, len(m.targets))
+	for k, t := range m.targets {
+		if t.acc != nil {
+			out = append(out, t.acc.row(k))
+		}
+	}
+	m.mu.Unlock()
+	sort.Slice(out, func(i, j int) bool { return out[i].Key < out[j].Key })
+	for i := range out {
+		r := &out[i]
+		if sm, _ := m.store.Get(r.Key); sm != nil {
+			r.SelectionRMSE = sm.SelectionRMSE
+			r.Invalidated = sm.Invalidated
+			if sm.SelectionRMSE > 0 && isFinite(r.RollingRMSE) {
+				r.Ratio = math.Max(0, r.RollingRMSE/sm.SelectionRMSE)
+			}
+		}
+		// encoding/json rejects NaN; empty windows serialise as zero.
+		r.RollingRMSE = nanToZero(r.RollingRMSE)
+		r.RollingMAPE = nanToZero(r.RollingMAPE)
+		r.RollingMAPA = nanToZero(r.RollingMAPA)
+	}
+	return out
+}
 
 // Alerts returns the alert snapshot (the /alerts payload).
 func (m *Monitor) Alerts() []Alert { return m.alerter.Alerts() }
@@ -360,25 +473,24 @@ const CalibrationPath = "/api/v1/calibration"
 // residual diagnostics, drift state and the composite health score.
 // Sorted by key; NaNs are mapped to zero for JSON.
 func (m *Monitor) Calibration(filter string) []CalibrationStatus {
-	keys := m.cal.Keys()
-	if filter != "" {
-		if _, ok := m.cal.Status(filter); ok {
-			keys = []string{filter}
-		} else {
-			keys = nil
-		}
-	}
-	out := make([]CalibrationStatus, 0, len(keys))
-	for _, k := range keys {
-		st, ok := m.cal.Status(k)
-		if !ok {
+	m.mu.Lock()
+	out := make([]CalibrationStatus, 0, len(m.targets))
+	for k, t := range m.targets {
+		if t.cal == nil || (filter != "" && k != filter) {
 			continue
 		}
-		if ds, ok := m.drift.Status(k); ok {
-			d := ds
-			st.Drift = &d
+		st := t.cal.status(k, m.cal)
+		if t.ph != nil {
+			ds := t.ph.status(k, m.drift)
+			st.Drift = &ds
 		}
-		st.Health = m.healthFor(k, st)
+		out = append(out, st)
+	}
+	m.mu.Unlock()
+	sort.Slice(out, func(i, j int) bool { return out[i].Key < out[j].Key })
+	for i := range out {
+		st := &out[i]
+		st.Health = m.health(st.Key, *st, st.Drift != nil && st.Drift.State == "drifting")
 		for _, f := range []*float64{
 			&st.Coverage, &st.LifetimeCoverage, &st.MeanWidth, &st.Sharpness,
 			&st.PITMean, &st.Bias, &st.ACF1, &st.ACF24,
@@ -386,36 +498,20 @@ func (m *Monitor) Calibration(filter string) []CalibrationStatus {
 		} {
 			*f = nanToZero(*f)
 		}
-		out = append(out, st)
 	}
 	return out
 }
 
-// healthFor computes the composite health score for key from its raw
-// (NaN-preserving) calibration snapshot plus the store's degradation
-// ratio and the drift state.
-func (m *Monitor) healthFor(key string, st CalibrationStatus) float64 {
+// health computes the composite health score for key from its raw
+// (NaN-preserving) calibration snapshot, the store's degradation ratio
+// and whether the drift detector holds an alarm.
+func (m *Monitor) health(key string, st CalibrationStatus, drifting bool) float64 {
 	ratio := math.NaN()
 	if sm, _ := m.store.Peek(key); sm != nil && sm.SelectionRMSE > 0 &&
 		isFinite(sm.LiveRMSE) && sm.LiveRMSE >= 0 {
 		ratio = sm.LiveRMSE / sm.SelectionRMSE
 	}
-	drifting := false
-	if ds, ok := m.drift.Status(key); ok {
-		drifting = ds.State == "drifting"
-	}
 	return healthScore(st.Coverage, st.NominalLevel, ratio, st.LjungBoxP, drifting)
-}
-
-// publishHealth refreshes the forecast_health_ratio gauge for key.
-func (m *Monitor) publishHealth(key string) {
-	st, ok := m.cal.Status(key)
-	if !ok {
-		return
-	}
-	if h := m.healthFor(key, st); isFinite(h) {
-		m.obs.SetGauge("forecast_health_ratio", h, obs.L("key", key))
-	}
 }
 
 // healthScore folds a target's quality signals into one 0–1 score:
@@ -458,44 +554,18 @@ func healthScore(coverage, nominal, ratio, ljungBoxP float64, drifting bool) flo
 	return sum / wsum
 }
 
-// CalibrationHandler serves the forecast-health snapshot as a JSON
-// array; ?key=target/metric narrows it to one target.
-func CalibrationHandler(m *Monitor) http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
-		w.Header().Set("Content-Type", "application/json")
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		enc.Encode(m.Calibration(req.URL.Query().Get("key"))) //nolint:errcheck // best-effort endpoint
-	})
-}
-
-// AccuracyHandler serves the rolling accuracy scores as a JSON array.
-func AccuracyHandler(m *Monitor) http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
-		w.Header().Set("Content-Type", "application/json")
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		enc.Encode(m.Accuracy()) //nolint:errcheck // best-effort endpoint
-	})
-}
-
-// AlertsHandler serves the alert states as a JSON array.
-func AlertsHandler(m *Monitor) http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
-		w.Header().Set("Content-Type", "application/json")
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		enc.Encode(m.Alerts()) //nolint:errcheck // best-effort endpoint
-	})
-}
-
 // Handlers returns the monitor's endpoint map, ready for
-// obs.MuxOptions.Extra.
+// obs.MuxOptions.Extra. The targets and calibration endpoints take
+// ?key=target/metric to narrow the array to one target.
 func (m *Monitor) Handlers() map[string]http.Handler {
 	return map[string]http.Handler{
-		"/alerts":       AlertsHandler(m),
-		"/accuracy":     AccuracyHandler(m),
-		TargetsPath:     TargetsHandler(m),
-		CalibrationPath: CalibrationHandler(m),
+		"/alerts":   obs.JSONHandler(func(*http.Request) any { return m.Alerts() }),
+		"/accuracy": obs.JSONHandler(func(*http.Request) any { return m.Accuracy() }),
+		TargetsPath: obs.JSONHandler(func(req *http.Request) any {
+			return m.TargetsFor(req.URL.Query().Get("key"))
+		}),
+		CalibrationPath: obs.JSONHandler(func(req *http.Request) any {
+			return m.Calibration(req.URL.Query().Get("key"))
+		}),
 	}
 }

@@ -1,8 +1,6 @@
 package monitor
 
 import (
-	"encoding/json"
-	"net/http"
 	"sort"
 	"time"
 )
@@ -56,17 +54,16 @@ type TargetStatus struct {
 	LastRefit         *RefitRecord `json:"last_refit,omitempty"`
 }
 
-// Targets assembles the status of every known target — see TargetsFor.
-func (m *Monitor) Targets() []TargetStatus { return m.TargetsFor("") }
-
 // TargetsFor assembles the status of the known targets: the union of
 // stored champions and the configured inventory (so warming targets —
 // inventoried but not yet trained — are visible too), each joined with
 // its rolling accuracy, calibration/drift summary and last refit
 // record. A non-empty filter narrows the result to that exact key, so
 // fleet-scale deployments can poll one target without serializing
-// thousands. Sorted by key. Reads use ModelStore.Peek, so polling the
-// endpoint does not skew the store's lookup counters.
+// thousands. Sorted by key. The state columns read the store through
+// Peek; a key with a scored accuracy window is also looked up through
+// Get, as /accuracy does, so those lookups count in
+// modelstore_lookups_total.
 func (m *Monitor) TargetsFor(filter string) []TargetStatus {
 	now := m.store.Now()
 	set := make(map[string]bool)
@@ -90,14 +87,37 @@ func (m *Monitor) TargetsFor(filter string) []TargetStatus {
 	}
 	sort.Strings(keys)
 
-	acc := make(map[string]AccuracyScore)
-	for _, a := range m.eval.Accuracy() {
-		acc[a.Key] = a
-	}
-
 	out := make([]TargetStatus, 0, len(keys))
 	for _, k := range keys {
 		ts := TargetStatus{Key: k, State: "untrained"}
+		var cal *CalibrationStatus
+		drifting, scored := false, false
+		m.mu.Lock()
+		if t := m.targets[k]; t != nil {
+			if t.acc != nil {
+				rmse, _, mapa := t.acc.scores()
+				ts.RollingRMSE, ts.RollingMAPA = nanToZero(rmse), nanToZero(mapa)
+				ts.WindowPoints = t.acc.count
+				scored = true
+			}
+			if t.cal != nil {
+				st := t.cal.status(k, m.cal)
+				cal = &st
+			}
+			if t.ph != nil {
+				ds := t.ph.status(k, m.drift)
+				ts.DriftState, ts.DriftAlarms = ds.State, ds.Alarms
+				drifting = ds.State == "drifting"
+			}
+			if t.lastRefit != nil {
+				rec := *t.lastRefit
+				ts.LastRefit = &rec
+			}
+		}
+		m.mu.Unlock()
+		if scored {
+			m.store.Get(k)
+		}
 		if sm, usable := m.store.Peek(k); sm != nil {
 			switch {
 			case usable:
@@ -119,37 +139,13 @@ func (m *Monitor) TargetsFor(filter string) []TargetStatus {
 			ts.FittedAt = &fitted
 			ts.AgeHours = now.Sub(sm.FittedAt).Hours()
 		}
-		if a, ok := acc[k]; ok {
-			// Accuracy() already mapped NaN to zero for JSON.
-			ts.RollingRMSE = a.RollingRMSE
-			ts.RollingMAPA = a.RollingMAPA
-			ts.WindowPoints = a.Points
-		}
-		if st, ok := m.cal.Status(k); ok {
-			ts.Coverage = nanToZero(st.Coverage)
-			ts.NominalLevel = nanToZero(st.NominalLevel)
-			ts.CalibrationPoints = st.Points
-			ts.Health = nanToZero(m.healthFor(k, st))
-		}
-		if ds, ok := m.drift.Status(k); ok {
-			ts.DriftState = ds.State
-			ts.DriftAlarms = ds.Alarms
-		}
-		if rec, ok := m.LastRefit(k); ok {
-			ts.LastRefit = &rec
+		if cal != nil {
+			ts.Coverage = nanToZero(cal.Coverage)
+			ts.NominalLevel = nanToZero(cal.NominalLevel)
+			ts.CalibrationPoints = cal.Points
+			ts.Health = nanToZero(m.health(k, *cal, drifting))
 		}
 		out = append(out, ts)
 	}
 	return out
-}
-
-// TargetsHandler serves the per-target planner status as a JSON array;
-// ?key=target/metric narrows it to one target.
-func TargetsHandler(m *Monitor) http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
-		w.Header().Set("Content-Type", "application/json")
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		enc.Encode(m.TargetsFor(req.URL.Query().Get("key"))) //nolint:errcheck // best-effort endpoint
-	})
 }

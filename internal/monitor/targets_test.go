@@ -38,7 +38,7 @@ func TestTargetsEndpoint(t *testing.T) {
 
 	byKey := func() map[string]TargetStatus {
 		out := make(map[string]TargetStatus)
-		for _, ts := range m.Targets() {
+		for _, ts := range m.TargetsFor("") {
 			out[ts.Key] = ts
 		}
 		return out
@@ -84,7 +84,7 @@ func TestTargetsEndpoint(t *testing.T) {
 
 	// The handler serves the same rows as JSON.
 	rr := httptest.NewRecorder()
-	TargetsHandler(m).ServeHTTP(rr, httptest.NewRequest("GET", TargetsPath, nil))
+	m.Handlers()[TargetsPath].ServeHTTP(rr, httptest.NewRequest("GET", TargetsPath, nil))
 	var rows []TargetStatus
 	if err := json.Unmarshal(rr.Body.Bytes(), &rows); err != nil {
 		t.Fatalf("targets payload not JSON: %v\n%s", err, rr.Body.String())
@@ -141,7 +141,7 @@ func TestTargetsKeyFilterAndHealthFields(t *testing.T) {
 
 	// The handler honours ?key=.
 	rr := httptest.NewRecorder()
-	TargetsHandler(m).ServeHTTP(rr, httptest.NewRequest("GET", TargetsPath+"?key=db1/cpu", nil))
+	m.Handlers()[TargetsPath].ServeHTTP(rr, httptest.NewRequest("GET", TargetsPath+"?key=db1/cpu", nil))
 	var parsed []TargetStatus
 	if err := json.Unmarshal(rr.Body.Bytes(), &parsed); err != nil {
 		t.Fatalf("filtered payload not JSON: %v", err)

@@ -62,15 +62,22 @@ const ExemplarsPath = "/api/v1/exemplars"
 // array — the bridge from a latency band on /metrics to the trace that
 // produced it. Without a registry it serves an empty array.
 func ExemplarsHandler(o *Observer) http.Handler {
+	return JSONHandler(func(*http.Request) any {
+		if ex := o.Registry().Exemplars(); ex != nil {
+			return ex
+		}
+		return []ExemplarSeries{}
+	})
+}
+
+// JSONHandler serves body(req) as two-space-indented JSON, the shape of
+// every JSON endpoint on the shared mux.
+func JSONHandler(body func(*http.Request) any) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
 		w.Header().Set("Content-Type", "application/json")
-		ex := o.Registry().Exemplars()
-		if ex == nil {
-			ex = []ExemplarSeries{}
-		}
 		enc := json.NewEncoder(w)
 		enc.SetIndent("", "  ")
-		enc.Encode(ex) //nolint:errcheck // best-effort endpoint
+		enc.Encode(body(req)) //nolint:errcheck // best-effort endpoint
 	})
 }
 

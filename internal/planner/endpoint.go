@@ -1,8 +1,9 @@
 package planner
 
 import (
-	"encoding/json"
 	"net/http"
+
+	"repro/internal/obs"
 )
 
 // PlanPath is the planner endpoint's route on the shared observability
@@ -22,7 +23,7 @@ type planPayload struct {
 // Handler serves the planner's policy, current recommendation and
 // action history as JSON.
 func Handler(p *Planner) http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
+	return obs.JSONHandler(func(*http.Request) any {
 		payload := planPayload{Policy: p.Policy(), History: p.History()}
 		if rec, ok := p.Recommendation(); ok {
 			payload.Recommendation = &rec
@@ -30,9 +31,6 @@ func Handler(p *Planner) http.Handler {
 		if payload.History == nil {
 			payload.History = []Action{}
 		}
-		w.Header().Set("Content-Type", "application/json")
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		enc.Encode(payload) //nolint:errcheck // best-effort endpoint
+		return payload
 	})
 }
