@@ -69,31 +69,16 @@ func (m *Model) Advance(points []float64, newExog [][]float64) error {
 		return fmt.Errorf("arima: differenced tail has %d values, want %d", len(wTail), k)
 	}
 
-	// Continue the innovation recursion of conditionalSS over the new w's.
+	// Continue the innovation recursion of conditionalSS over the new w's,
+	// from the old length and with the stored running sum.
 	arFull := expandSeasonal(m.AR, m.SAR, spec.S)
 	maFull := expandSeasonal(m.MA, m.SMA, spec.S)
 	warm := spec.MaxARLag()
-	css := m.css
-	for _, wt := range wTail {
-		m.w = append(m.w, wt)
-		t := len(m.w) - 1
-		v := wt - m.Intercept
-		for i, phi := range arFull {
-			if phi != 0 {
-				v -= phi * m.w[t-1-i]
-			}
-		}
-		for j, th := range maFull {
-			if th == 0 {
-				continue
-			}
-			if t-1-j >= 0 {
-				v += th * m.Residuals[t-1-j]
-			}
-		}
-		m.Residuals = append(m.Residuals, v)
-		css += v * v
-	}
+	start := len(m.w)
+	m.w = append(m.w, wTail...)
+	m.Residuals = append(m.Residuals, make([]float64, k)...)
+	css := conditionalSSIn(m.w, m.Intercept, arFull, maFull,
+		nonZeroLags(nil, arFull), nonZeroLags(nil, maFull), m.Residuals, start, m.css)
 	m.css = css
 
 	neff := len(m.w) - warm

@@ -27,6 +27,9 @@ type Workspace struct {
 
 	// Objective scratch: expanded lag polynomials and CSS residuals.
 	arFull, maFull, resid []float64
+	// Indices of the non-zero lags of arFull and maFull; their length is
+	// unbounded (p=22, P=2 at S=24 expands to 70 lags).
+	arIdx, maIdx []int
 	// Polynomial-multiplication scratch for expandSeasonalInto.
 	polyA, polyB, polyFull []float64
 
@@ -144,7 +147,12 @@ func Prediff(y []float64, d, D, s int) []float64 {
 func (ws *Workspace) conditionalSSInto(w []float64, c float64, arFull, maFull []float64) (css float64, resid []float64) {
 	resid = grow(&ws.resid, len(w))
 	zero(resid)
-	css = conditionalSSIn(w, c, arFull, maFull, resid)
+	if len(arFull) > len(w) {
+		return math.Inf(1), resid
+	}
+	ws.arIdx = nonZeroLags(ws.arIdx, arFull)
+	ws.maIdx = nonZeroLags(ws.maIdx, maFull)
+	css = conditionalSSIn(w, c, arFull, maFull, ws.arIdx, ws.maIdx, resid, len(arFull), 0)
 	return css, resid
 }
 

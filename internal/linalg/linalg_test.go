@@ -216,7 +216,7 @@ func TestQRRInverse(t *testing.T) {
 	r := NewMatrix(3, 3)
 	for i := 0; i < 3; i++ {
 		for j := i; j < 3; j++ {
-			r.Set(i, j, qr.qr.At(i, j))
+			r.Set(i, j, qr.at(i, j))
 		}
 	}
 	p := r.Mul(inv)
