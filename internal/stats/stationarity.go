@@ -49,12 +49,12 @@ func ADF(x []float64, reg ADFRegression, lags int) (ADFResult, error) {
 			maxLag = n/2 - 2
 		}
 	}
+	// Δy is shared by every lag candidate; each builds its own regressors.
+	dy := make([]float64, n-1)
+	for t := 1; t < n; t++ {
+		dy[t-1] = x[t] - x[t-1]
+	}
 	run := func(p int) (tstat float64, aic float64, err error) {
-		// Build Δy and regressors.
-		dy := make([]float64, n-1)
-		for t := 1; t < n; t++ {
-			dy[t-1] = x[t] - x[t-1]
-		}
 		// Usable sample: t = p .. len(dy)-1 (index into dy).
 		m := len(dy) - p
 		if m < 8+p {
