@@ -446,7 +446,7 @@ func (m *Monitor) Accuracy() []AccuracyScore {
 	sort.Slice(out, func(i, j int) bool { return out[i].Key < out[j].Key })
 	for i := range out {
 		r := &out[i]
-		if sm, _ := m.store.Get(r.Key); sm != nil {
+		if sm, _ := m.store.Peek(r.Key); sm != nil {
 			r.SelectionRMSE = sm.SelectionRMSE
 			r.Invalidated = sm.Invalidated
 			if sm.SelectionRMSE > 0 && isFinite(r.RollingRMSE) {

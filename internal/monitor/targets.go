@@ -61,9 +61,7 @@ type TargetStatus struct {
 // record. A non-empty filter narrows the result to that exact key, so
 // fleet-scale deployments can poll one target without serializing
 // thousands. Sorted by key. The state columns read the store through
-// Peek; a key with a scored accuracy window is also looked up through
-// Get, as /accuracy does, so those lookups count in
-// modelstore_lookups_total.
+// Peek, so polling the endpoint moves no lookup counter.
 func (m *Monitor) TargetsFor(filter string) []TargetStatus {
 	now := m.store.Now()
 	set := make(map[string]bool)
@@ -91,14 +89,13 @@ func (m *Monitor) TargetsFor(filter string) []TargetStatus {
 	for _, k := range keys {
 		ts := TargetStatus{Key: k, State: "untrained"}
 		var cal *CalibrationStatus
-		drifting, scored := false, false
+		drifting := false
 		m.mu.Lock()
 		if t := m.targets[k]; t != nil {
 			if t.acc != nil {
 				rmse, _, mapa := t.acc.scores()
 				ts.RollingRMSE, ts.RollingMAPA = nanToZero(rmse), nanToZero(mapa)
 				ts.WindowPoints = t.acc.count
-				scored = true
 			}
 			if t.cal != nil {
 				st := t.cal.status(k, m.cal)
@@ -115,9 +112,6 @@ func (m *Monitor) TargetsFor(filter string) []TargetStatus {
 			}
 		}
 		m.mu.Unlock()
-		if scored {
-			m.store.Get(k)
-		}
 		if sm, usable := m.store.Peek(k); sm != nil {
 			switch {
 			case usable:
